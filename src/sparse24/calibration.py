@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import SparseNM
 from .formats import INT8, DenseMatrix, ShapeError
-from .kernels import SpmmPlan, spmm
+from .kernels import spmm
 
 
 class Granularity(Enum):
@@ -175,7 +175,6 @@ def quantized_sparse_gemm(
     b: DenseMatrix,
     scale_a: ScaleSet,
     scale_b: ScaleSet,
-    plan: SpmmPlan | None = None,
 ) -> np.ndarray:
     """INT32-accumulated sparse GEMM rescaled back to real values.
 
@@ -183,7 +182,7 @@ def quantized_sparse_gemm(
     """
     if scale_b.granularity is not Granularity.PER_TENSOR:
         raise ValueError("dense operand supports per-tensor scaling only")
-    acc = spmm(a, b, INT8, plan)
+    acc = spmm(a, b, INT8)
     sa = scale_a.per_row_of(a.rows)[:, None]
     return acc.data.astype(np.float64) * sa * scale_b.scales[0]
 

@@ -217,7 +217,11 @@ def cmd_calibrate(src, dst, method, granularity):
 @click.option("--repeats", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
-    """Wall-clock sparse-vs-dense comparison; CSV on stdout."""
+    """Wall-clock sparse-vs-dense comparison; CSV on stdout.
+
+    The speedup column is measured against the gemm_dense emulation oracle on
+    this CPU, not against real sparse hardware.
+    """
     try:
         fmt = _FORMATS[fmt_name]
         shapes = []

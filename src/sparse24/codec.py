@@ -133,19 +133,17 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     rows = a.rows
     groups = a.data.reshape(rows, -1, m)
     nz = groups != 0
-    # Rank nonzeros first (by index), then pad with unused indices ascending.
-    # Sorting key: zeros get their index pushed past m so nonzero indices come
-    # first, both halves staying in ascending index order.
-    idx = np.broadcast_to(np.arange(m), nz.shape)
-    key = np.where(nz, idx, idx + m)
-    order = np.argsort(key, axis=2, kind="stable")[:, :, :n]
-    meta = np.sort(order, axis=2).astype(np.uint8)
-    values = np.take_along_axis(groups, meta, axis=2)
+    # Keep every nonzero plus the first n - nnz zeros of each group in index
+    # order; row-major order of the kept flags then lists groups in order and
+    # indices ascending within each group.
+    zero_rank = np.cumsum(~nz, axis=2)
+    kept = nz | (zero_rank <= n - nz.sum(axis=2, keepdims=True))
+    flat = np.flatnonzero(kept)
     return SparseNM(
         cols_orig=a.cols,
         pattern=pattern,
-        values=values.reshape(rows, -1).copy(),
-        meta=meta.reshape(rows, -1).copy(),
+        values=groups.ravel()[flat].reshape(rows, -1),
+        meta=(flat % m).astype(np.uint8).reshape(rows, -1),
         fmt=a.fmt,
     )
 

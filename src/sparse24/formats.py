@@ -158,11 +158,7 @@ class DenseMatrix:
     def validate(self) -> None:
         """Check that every element is representable in the element format."""
         rounded = round_array(self.data.astype(np.float32), self.fmt.elem)
-        if self.fmt.is_integer:
-            ok = np.array_equal(rounded, self.data)
-        else:
-            ok = np.array_equal(rounded, self.data)
-        if not ok:
+        if not np.array_equal(rounded, self.data):
             raise FormatError(f"data not representable in {self.fmt.elem.value}")
 
 

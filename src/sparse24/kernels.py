@@ -3,8 +3,9 @@
 The kernel gathers rows of B through the positional metadata (one gathered row
 per kept value) and never materializes the decompressed operand; the
 instrumented multiply-add counter proves it touches exactly M*N*K*n/m terms.
-Accumulation walks kept values in ascending original-column order, so a given
-plan is deterministic and the output is independent of tiling and thread count.
+There is one fixed accumulation order: every output element adds its products
+in ascending original-column order of the kept values, so results are
+bit-stable in every mode.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,28 +41,6 @@ class MultiplyAddCounter:
         self.count += n
 
 
-@dataclass(frozen=True)
-class SpmmPlan:
-    """Output blocking and worker count for the sparse kernel."""
-
-    shape: GemmShape
-    tile: tuple[int, int, int] = (64, 64, 64)
-    threads: int = 1
-
-    def __post_init__(self):
-        tr, tc, td = self.tile
-        if min(tr, tc, td) <= 0:
-            raise ShapeError(f"tile dims must be positive, got {self.tile}")
-        if self.threads <= 0:
-            raise ShapeError("threads must be positive")
-
-    def check(self, pattern: NMPattern) -> None:
-        if self.tile[2] % pattern.m != 0:
-            raise ShapeError(
-                f"tile depth {self.tile[2]} must be a multiple of group size {pattern.m}"
-            )
-
-
 def spmm_flops(shape: GemmShape, pattern: NMPattern) -> int:
     """Multiply-add count of the sparse kernel: M*N*K*n/m."""
     return shape.m * shape.n * shape.k * pattern.n // pattern.m
@@ -72,13 +50,16 @@ def spmm(
     a: SparseNM,
     b: DenseMatrix,
     fmt: NumericFormat | None = None,
-    plan: SpmmPlan | None = None,
     counter: MultiplyAddCounter | None = None,
 ) -> DenseMatrix:
     """Compute decompress(a) @ b without decompressing a.
 
-    Bit-exact against the dense reference in INT8/INT32 mode; within the
-    documented accumulator-ulp bound in float modes.
+    Step j of one pass over the kept slots gathers, for every output row, the
+    row of B that the row's j-th kept value selects, multiplies it by that value
+    and adds the product (rounded to fp16 first in FP16-accumulate mode) into
+    the M x N accumulator. Each output element thus sums its products in
+    ascending original-column order. Bit-exact against the dense reference in
+    INT8/INT32 mode; within the documented accumulator-ulp bound in float modes.
     """
     if fmt is None:
         fmt = a.fmt
@@ -88,56 +69,31 @@ def spmm(
         raise ShapeError(f"inner dims differ: {a.cols_orig} vs {b.rows}")
     shape = GemmShape(a.rows, b.cols, a.cols_orig)
     shape.check_sparse(fmt)
-    if plan is None:
-        plan = SpmmPlan(shape)
-    plan.check(a.pattern)
 
-    cols = a.column_indices()  # (R, kept) B-row offset per kept value
-    kept = a.cols_kept
-    tr, tc, _ = plan.tile
-
+    cols_t = np.ascontiguousarray(a.column_indices().T)  # (kept, M) B-row per kept value
     if fmt.is_integer:
         acc_dtype = np.int64
-        vals = a.values.astype(np.int64)
+        vals_t = np.ascontiguousarray(a.values.T, dtype=np.int64)
         bdat = b.data.astype(np.int64)
-    elif fmt.acc is AccType.FP16:
-        acc_dtype = np.float16
-        vals = a.values
-        bdat = b.data
     else:
-        acc_dtype = np.float32
-        vals = a.values
+        acc_dtype = np.float16 if fmt.acc is AccType.FP16 else np.float32
+        vals_t = np.ascontiguousarray(a.values.T)
         bdat = b.data
 
-    row_blocks = [(r0, min(r0 + tr, shape.m)) for r0 in range(0, shape.m, tr)]
-    col_blocks = [(c0, min(c0 + tc, shape.n)) for c0 in range(0, shape.n, tc)]
     out = np.zeros((shape.m, shape.n), dtype=acc_dtype)
-
-    def run_tile(r0: int, r1: int, c0: int, c1: int) -> int:
-        tile = np.zeros((r1 - r0, c1 - c0), dtype=acc_dtype)
-        tvals = vals[r0:r1]
-        tcols = cols[r0:r1]
-        bsub = bdat[:, c0:c1]
-        madds = 0
-        for j in range(kept):
-            gathered = bsub[tcols[:, j], :]
-            if fmt.acc is AccType.FP16:
-                prod = (tvals[:, j : j + 1] * gathered).astype(np.float16)
-                tile = tile + prod
-            else:
-                tile += tvals[:, j : j + 1] * gathered
-            madds += tile.shape[0] * tile.shape[1]
-        out[r0:r1, c0:c1] = tile
-        return madds
-
-    tiles = [(r0, r1, c0, c1) for r0, r1 in row_blocks for c0, c1 in col_blocks]
-    if plan.threads > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            total = sum(pool.map(lambda t: run_tile(*t), tiles))
-    else:
-        total = sum(run_tile(*t) for t in tiles)
+    buf = np.empty((shape.m, shape.n), dtype=bdat.dtype)
+    # FP16-accumulate mode rounds every product to fp16 before adding it.
+    prod = np.empty_like(out) if acc_dtype is np.float16 else buf
+    madds = 0
+    for j in range(a.cols_kept):
+        np.take(bdat, cols_t[j], axis=0, out=buf)
+        np.multiply(vals_t[j][:, None], buf, out=buf)
+        if prod is not buf:
+            np.copyto(prod, buf, casting="same_kind")
+        np.add(out, prod, out=out)
+        madds += out.size
     if counter is not None:
-        counter.add(total)
+        counter.add(madds)
 
     if fmt.is_integer:
         out = _wrap_int32(out)
@@ -194,7 +150,10 @@ def bench(
 ) -> BenchReport:
     """Median wall-clock comparison of the dense reference vs the sparse kernel
     on random conforming operands. flops_ratio reports the multiply-add ratio
-    (m/n), e.g. 2.0 for 2:4."""
+    (m/n), e.g. 2.0 for 2:4.
+
+    ``speedup`` is measured against :func:`gemm_dense`, the slow emulation
+    oracle, on this CPU; it is not a claim about sparse hardware."""
     from .pruning import prune_magnitude  # local import to avoid a cycle
     from .codec import apply_mask, compress
 
@@ -208,10 +167,9 @@ def bench(
         b = _random_dense(rng, shape.k, shape.n, fmt)
         pruned = apply_mask(a, prune_magnitude(a, pattern).mask)
         sp = compress(pruned, pattern)
-        plan = SpmmPlan(shape, tile=(shape.m, shape.n, pattern.m))
 
         dense_ns = _median_ns(lambda: gemm_dense(pruned, b, fmt), repeats)
-        sparse_ns = _median_ns(lambda: spmm(sp, b, fmt, plan), repeats)
+        sparse_ns = _median_ns(lambda: spmm(sp, b, fmt), repeats)
         report.rows.append(
             BenchRow(
                 m=shape.m,

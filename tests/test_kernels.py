@@ -39,6 +39,29 @@ class TestSpmm:
             tol = s.float_tolerance(oracle, 32)
             assert np.max(np.abs(got.data - oracle.data)) <= tol, fmt
 
+    @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.TF32, s.FP16_FP16], ids=str)
+    @pytest.mark.parametrize("pattern", [s.PATTERN_24, s.PATTERN_12], ids=str)
+    def test_float_modes_bit_equal_to_scalar_loop(self, rng, fmt, pattern):
+        # Independent oracle: one scalar accumulation per output element over the
+        # kept values in ascending original column; each product is formed in
+        # float32 (rounded to fp16 in FP16-accumulate mode) and added into an
+        # accumulator of the mode's type.
+        acc_type = np.float16 if fmt.acc is s.AccType.FP16 else np.float32
+        for m, n, k in [(1, 1, 16), (3, 5, 16), (4, 7, 32), (6, 3, 48)]:
+            _, sp, b = make_case(rng, m, n, k, fmt, pattern)
+            expect = np.zeros((m, n), dtype=np.float32)
+            for i in range(m):
+                for c in range(n):
+                    acc = acc_type(0)
+                    for j in range(sp.cols_kept):
+                        col = (j // pattern.n) * pattern.m + int(sp.meta[i, j])
+                        prod = np.float32(sp.values[i, j]) * np.float32(b.data[col, c])
+                        acc = acc_type(acc + acc_type(prod))
+                    expect[i, c] = np.float32(acc)
+            got = s.spmm(sp, b, fmt).data
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (m, n, k)
+
     def test_counter_equals_closed_form(self, rng):
         a, sp, b = make_case(rng, 8, 16, 32, s.INT8)
         ctr = s.MultiplyAddCounter()
@@ -51,25 +74,6 @@ class TestSpmm:
         ctr = s.MultiplyAddCounter()
         s.spmm(sp, b, counter=ctr)
         assert ctr.count == 8 * 8 * 32 // 2
-
-    def test_output_independent_of_plan(self, rng):
-        a, sp, b = make_case(rng, 32, 24, 64, s.INT8)
-        shape = s.GemmShape(32, 24, 64)
-        ref = s.spmm(sp, b)
-        for tile in [(8, 8, 4), (32, 24, 64), (5, 7, 8)]:
-            for threads in (1, 4):
-                plan = s.SpmmPlan(shape, tile=tile, threads=threads)
-                assert np.array_equal(s.spmm(sp, b, plan=plan).data, ref.data), (tile, threads)
-
-    def test_float_plan_independence(self, rng):
-        a, sp, b = make_case(rng, 16, 16, 32, s.FP16)
-        shape = s.GemmShape(16, 16, 32)
-        ref = s.spmm(sp, b)
-        plan = s.SpmmPlan(shape, tile=(4, 4, 8), threads=2)
-        oracle = s.gemm_dense(a, b)
-        assert np.max(np.abs(s.spmm(sp, b, plan=plan).data - ref.data)) <= s.float_tolerance(
-            oracle, 32
-        )
 
     def test_k_multiple_rule(self, rng):
         a, sp, b = make_case(rng, 4, 4, 8, s.FP16)
@@ -89,12 +93,6 @@ class TestSpmm:
         b = random_dense(rng, 32, 4, s.FP16)
         with pytest.raises(s.ShapeError):
             s.spmm(sp, b)
-
-    def test_tile_depth_must_align_to_group(self, rng):
-        a, sp, b = make_case(rng, 4, 4, 16, s.FP16)
-        plan = s.SpmmPlan(s.GemmShape(4, 4, 16), tile=(4, 4, 6))
-        with pytest.raises(s.ShapeError):
-            s.spmm(sp, b, plan=plan)
 
 
 class TestFlops:
