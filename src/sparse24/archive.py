@@ -21,9 +21,11 @@ Each entry:
 
 Payloads: dense values row-major in the element width (bf16 as raw upper-half
 bits); sparse entries store values then metadata, each metadata row packed
-into ceil(log2 m)-bit fields little-endian within bytes and padded to a byte
-boundary; scale sets are float64; masks pack one bit per element, rows padded
-to byte boundaries. See docs/format.md for a hex-dump walkthrough.
+into ceil(log2 m)-bit fields little-endian within bytes and padded with zero
+bits to a byte boundary; scale sets are float64; masks pack one bit per
+element, rows padded the same way. Padding bits must be zero and nothing may
+follow the last entry, so every archive has one encoding. See docs/format.md
+for a hex-dump walkthrough.
 """
 
 from __future__ import annotations
@@ -107,13 +109,14 @@ def _encode_values(arr: np.ndarray, elem: ElemType) -> bytes:
 
 
 def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.ndarray:
-    flat = np.frombuffer(raw, dtype=_elem_dtype(elem))
-    if flat.size != shape[0] * shape[1]:
-        raise TruncatedError(f"payload holds {flat.size} values, expected {shape[0] * shape[1]}")
+    dtype = _elem_dtype(elem)
+    if len(raw) != shape[0] * shape[1] * dtype.itemsize:
+        raise TruncatedError(
+            f"payload is {len(raw)} bytes, expected {shape[0] * shape[1]} values of {dtype.itemsize}"
+        )
+    flat = np.frombuffer(raw, dtype=dtype)
     if elem is ElemType.INT8:
         return flat.astype(np.int32).reshape(shape)
-    if elem is ElemType.FP16:
-        return flat.astype(np.float32).reshape(shape)
     if elem is ElemType.BF16:
         return (flat.astype(np.uint32) << 16).view(np.float32).reshape(shape)
     return flat.astype(np.float32).reshape(shape)
@@ -122,27 +125,32 @@ def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.nda
 def pack_bit_fields(rows: np.ndarray, bits_per_field: int) -> bytes:
     """Pack each row's small integers into bits_per_field-bit fields,
     little-endian within bytes, each row padded to a byte boundary."""
-    out = bytearray()
-    for row in rows:
-        acc = 0
-        pos = 0
-        for v in row:
-            acc |= int(v) << pos
-            pos += bits_per_field
-        out += int(acc).to_bytes((pos + 7) // 8 if pos else 0, "little")
-    return bytes(out)
+    fields = np.asarray(rows)
+    if fields.size and (fields.min() < 0 or int(fields.max()) >> bits_per_field):
+        raise InvariantError(f"a field value does not fit in {bits_per_field} unsigned bits")
+    fields = fields.astype(np.uint8)
+    bits = np.empty(fields.shape + (bits_per_field,), dtype=np.uint8)
+    for b in range(bits_per_field):  # one pass per bit position, LSB first
+        bits[:, :, b] = (fields >> b) & 1
+    bits = bits.reshape(fields.shape[0], fields.shape[1] * bits_per_field)
+    return np.packbits(bits, axis=1, bitorder="little").tobytes()
 
 
 def unpack_bit_fields(raw: bytes, n_rows: int, per_row: int, bits_per_field: int) -> np.ndarray:
+    """Inverse of pack_bit_fields; padding bits must be zero, so that every
+    array has exactly one encoding."""
     row_bytes = (per_row * bits_per_field + 7) // 8
     if len(raw) != n_rows * row_bytes:
         raise TruncatedError(f"bit payload is {len(raw)} bytes, expected {n_rows * row_bytes}")
-    mask = (1 << bits_per_field) - 1
-    out = np.empty((n_rows, per_row), dtype=np.uint8)
-    for r in range(n_rows):
-        acc = int.from_bytes(raw[r * row_bytes : (r + 1) * row_bytes], "little")
-        for j in range(per_row):
-            out[r, j] = (acc >> (j * bits_per_field)) & mask
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n_rows, row_bytes)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    used = per_row * bits_per_field
+    if bits[:, used:].any():
+        raise InvariantError("nonzero padding bits after the last field of a row")
+    fields = bits[:, :used].reshape(n_rows, per_row, bits_per_field)
+    out = np.zeros((n_rows, per_row), dtype=np.uint8)
+    for b in range(bits_per_field):
+        out |= fields[:, :, b] << b
     return out
 
 
@@ -156,7 +164,7 @@ def _entry_payload(entry: Entry) -> bytes:
     if isinstance(entry, ScaleSet):
         return np.ascontiguousarray(entry.scales, dtype="<f8").tobytes()
     if isinstance(entry, Mask):
-        return pack_bit_fields(entry.bits.astype(np.uint8), 1)
+        return pack_bit_fields(entry.bits, 1)
     raise InvariantError(f"unsupported entry type {type(entry).__name__}")
 
 
@@ -167,6 +175,8 @@ def write_archive(archive: TensorArchive, path) -> None:
         for name, entry in archive.entries.items():
             payload = _entry_payload(entry)
             encoded = name.encode()
+            if len(encoded) > 0xFFFF:
+                raise InvariantError(f"entry name is {len(encoded)} bytes, the limit is 65535")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
             if isinstance(entry, DenseMatrix):
@@ -235,7 +245,10 @@ def read_archive(path) -> TensorArchive:
     archive = TensorArchive()
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        try:
+            name = r.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise InvariantError(f"entry name is not UTF-8: {exc}") from exc
         (kind,) = r.unpack("<B")
         if kind == KIND_DENSE:
             elem_c, acc_c, rows, cols = r.unpack("<BBII")
@@ -271,6 +284,8 @@ def read_archive(path) -> TensorArchive:
             if gran_c not in _GRAN_BY_CODE:
                 raise InvariantError(f"unknown granularity code {gran_c}")
             (plen,) = r.unpack("<Q")
+            if plen % 8:
+                raise TruncatedError(f"scale payload of {plen} bytes is not whole float64s")
             scales = np.frombuffer(r.take(plen), dtype="<f8")
             if len(scales) != n_scales:
                 raise TruncatedError(f"{len(scales)} scales in payload, header says {n_scales}")
@@ -285,6 +300,8 @@ def read_archive(path) -> TensorArchive:
             archive.add(name, Mask(bits.astype(bool)))
         else:
             raise InvariantError(f"unknown entry kind {kind}")
+    if r.pos != len(raw):
+        raise InvariantError(f"{len(raw) - r.pos} trailing bytes after the last entry")
     return archive
 
 

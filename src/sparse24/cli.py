@@ -125,7 +125,7 @@ def cmd_check(src, pattern, entry):
 @click.argument("dst", type=click.Path(dir_okay=False))
 @click.option("--pattern", default="2:4", show_default=True)
 @click.option("--permute", type=click.Choice(["off", "greedy", "exhaustive"]), default="off")
-@click.option("--transposable", type=click.Choice(["off", "greedy", "exhaustive"]), default="off")
+@click.option("--transposable", type=click.Choice(["off", "exhaustive"]), default="off")
 @click.option("--entry", default=None)
 @click.option("--seed", default=0, show_default=True)
 def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
@@ -138,7 +138,7 @@ def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
         if transposable != "off":
             if p != NMPattern(2, 4):
                 raise ValueError("row+column masks support the 2:4 pattern only")
-            result = find_transposable_mask(dense, mode=transposable)
+            result = find_transposable_mask(dense)
         elif permute != "off":
             budget = SearchBudget(mode=permute, seed=seed)
             perm, result = find_permutation(dense, p, budget)

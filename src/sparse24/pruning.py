@@ -123,10 +123,14 @@ def enumerate_group_partitions(cols: int, m: int):
     yield from rec(tuple(range(cols)))
 
 
+def _top_n(absw: np.ndarray, pattern: NMPattern) -> np.ndarray:
+    """The n largest magnitudes of every aligned group of m, shape (rows, groups, n)."""
+    groups = absw.reshape(absw.shape[0], -1, pattern.m)
+    return -np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n]
+
+
 def _retained(w: DenseMatrix, order: np.ndarray, pattern: NMPattern) -> float:
-    groups = np.abs(w.data.astype(np.float64))[:, order].reshape(w.rows, -1, pattern.m)
-    top = -np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n]
-    return float(top.sum())
+    return float(_top_n(np.abs(w.data.astype(np.float64))[:, order], pattern).sum())
 
 
 def find_permutation(
@@ -152,26 +156,33 @@ def find_permutation(
                 best_order = np.array(order)
         budget.stats["partitions_visited"] = visited
     elif budget.mode == "greedy":
+        # A swap of columns i and j changes only their two groups, so a
+        # candidate is scored on those groups against their current scores.
+        m = pattern.m
+        absw = np.abs(w.data.astype(np.float64))
         rng = np.random.default_rng(budget.seed)
         swaps_left = budget.max_swaps
         for restart in range(max(1, budget.restarts)):
             order = identity.copy() if restart == 0 else rng.permutation(w.cols)
-            val = _retained(w, order, pattern)
+            group_scores = _top_n(absw[:, order], pattern).sum(axis=(0, 2))
             improved = True
             while improved and swaps_left > 0:
                 improved = False
                 for i, j in itertools.combinations(range(w.cols), 2):
                     if swaps_left <= 0:
                         break
-                    if i // pattern.m == j // pattern.m:
+                    gi, gj = i // m, j // m
+                    if gi == gj:
                         continue  # within-group order never changes the objective
-                    cand = order.copy()
-                    cand[i], cand[j] = cand[j], cand[i]
+                    cols = np.concatenate((order[gi * m : gi * m + m], order[gj * m : gj * m + m]))
+                    cols[i - gi * m], cols[m + j - gj * m] = order[j], order[i]
                     swaps_left -= 1
-                    cval = _retained(w, cand, pattern)
-                    if cval > val:
-                        order, val = cand, cval
+                    pair = _top_n(absw[:, cols], pattern).sum(axis=(0, 2))
+                    if pair.sum() > group_scores[gi] + group_scores[gj]:
+                        order[i], order[j] = order[j], order[i]
+                        group_scores[[gi, gj]] = pair
                         improved = True
+            val = _retained(w, order, pattern)
             if val > best_val:
                 best_val, best_order = val, order
         budget.stats["swaps_used"] = budget.max_swaps - swaps_left
@@ -200,50 +211,20 @@ def _valid_tile_masks() -> np.ndarray:
 TILE_MASKS_2OF4 = _valid_tile_masks()
 
 
-def find_transposable_mask(w: DenseMatrix, mode: str = "exhaustive") -> PruneResult:
+def find_transposable_mask(w: DenseMatrix) -> PruneResult:
     """Find a mask satisfying 2:4 along rows and columns of every 4x4 tile.
 
-    exhaustive: per tile, the magnitude-maximal mask among all 90 candidates.
-    greedy: accept entries in descending |w| while a completing candidate
-    exists; always valid by construction.
+    Per tile, the magnitude-maximal mask among all 90 candidates; equal
+    scores keep the lower candidate.
     """
     if w.rows % 4 or w.cols % 4:
         raise ShapeError(f"dims {w.rows}x{w.cols} must be multiples of 4")
     absw = np.abs(w.data.astype(np.float64))
-    bits = np.zeros_like(w.data, dtype=bool)
-    for r0 in range(0, w.rows, 4):
-        for c0 in range(0, w.cols, 4):
-            tile = absw[r0 : r0 + 4, c0 : c0 + 4]
-            if mode == "exhaustive":
-                scores = np.einsum("kij,ij->k", TILE_MASKS_2OF4, tile)
-                bits[r0 : r0 + 4, c0 : c0 + 4] = TILE_MASKS_2OF4[int(np.argmax(scores))]
-            elif mode == "greedy":
-                bits[r0 : r0 + 4, c0 : c0 + 4] = _greedy_tile(tile)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
+    tiles = absw.reshape(w.rows // 4, 4, w.cols // 4, 4)
+    scores = np.einsum("kij,aibj->abk", TILE_MASKS_2OF4, tiles, optimize=True)
+    best = TILE_MASKS_2OF4[np.argmax(scores, axis=2)]  # (row tile, col tile, 4, 4)
+    bits = best.transpose(0, 2, 1, 3).reshape(w.rows, w.cols)
     mask = Mask(bits)
     total = float(absw.sum())
     retained = float(absw[bits].sum())
     return PruneResult(mask=mask, retained_magnitude=retained, lost_magnitude=total - retained)
-
-
-def _greedy_tile(tile: np.ndarray) -> np.ndarray:
-    # Descending |w|, row-major index breaking ties; keep an entry whenever
-    # some valid completion still contains everything accepted so far.
-    flat = tile.ravel()
-    order = np.lexsort((np.arange(16), -flat))
-    candidates = TILE_MASKS_2OF4
-    accepted = np.zeros((4, 4), dtype=bool)
-    for pos in order:
-        i, j = divmod(int(pos), 4)
-        if accepted[i, j]:
-            continue
-        trial = accepted.copy()
-        trial[i, j] = True
-        feasible = candidates[np.all(candidates[:, trial], axis=1)]
-        if len(feasible):
-            accepted = trial
-            candidates = feasible
-        if accepted.sum() == 8:
-            break
-    return candidates[0] if accepted.sum() < 8 else accepted

@@ -1,8 +1,17 @@
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse24 as s
 from conftest import random_conforming, random_dense
+from sparse24.archive import pack_bit_fields, unpack_bit_fields
+
+FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "format.md"
 
 
 def roundtrip(tmp_path, archive):
@@ -58,6 +67,67 @@ class TestRoundtrip:
         assert back["s"].granularity is s.Granularity.PER_ROW
 
 
+def pack_bit_fields_loop(rows, bits_per_field):
+    """Scalar oracle: one Python integer per row, fields OR-ed in LSB first."""
+    out = bytearray()
+    for row in rows:
+        acc = pos = 0
+        for v in row:
+            acc |= int(v) << pos
+            pos += bits_per_field
+        out += acc.to_bytes((pos + 7) // 8, "little")
+    return bytes(out)
+
+
+def unpack_bit_fields_loop(raw, n_rows, per_row, bits_per_field):
+    row_bytes = (per_row * bits_per_field + 7) // 8
+    out = np.empty((n_rows, per_row), dtype=np.uint8)
+    for r in range(n_rows):
+        acc = int.from_bytes(raw[r * row_bytes : (r + 1) * row_bytes], "little")
+        for j in range(per_row):
+            out[r, j] = (acc >> (j * bits_per_field)) & ((1 << bits_per_field) - 1)
+    return out
+
+
+class TestBitFields:
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 7), (3, 0), (1, 1), (2, 7), (5, 39)])
+    def test_matches_scalar_loops(self, rng, bits, shape):
+        fields = rng.integers(0, 1 << bits, size=shape).astype(np.uint8)
+        raw = pack_bit_fields(fields, bits)
+        assert raw == pack_bit_fields_loop(fields, bits)
+        back = unpack_bit_fields(raw, *shape, bits)
+        expected = unpack_bit_fields_loop(raw, *shape, bits)
+        assert back.dtype == expected.dtype and np.array_equal(back, expected)
+        assert np.array_equal(back, fields)
+
+    @pytest.mark.parametrize("bad", [4, 256, -1])
+    def test_field_wider_than_its_bits_rejected(self, bad):
+        with pytest.raises(s.InvariantError):
+            pack_bit_fields(np.array([[0, bad]]), 2)
+
+    def test_format_doc_hex_dump(self, tmp_path):
+        doc = FORMAT_DOC.read_text()
+        dump = doc.split("## Worked hex dump", 1)[1].split("```", 2)[1]
+        expected = bytes.fromhex(
+            "".join(re.findall(r"^[0-9a-f]{8}  ([0-9a-f ]+?)  \|", dump, flags=re.M))
+        )
+        assert len(expected) == 43
+        m = s.DenseMatrix.from_values(np.array([[5, 0, 0, -6, 0, 1, 2, 0]], dtype=np.float32), s.FP16)
+        path = tmp_path / "demo.s24t"
+        s.write_archive(s.TensorArchive().add("w", s.compress(m, s.PATTERN_24)), path)
+        assert path.read_bytes() == expected
+
+
+def four_entry_archive(rng):
+    arch = s.TensorArchive()
+    arch.add("d", random_dense(rng, 4, 8, s.BF16))
+    arch.add("sp", s.compress(random_conforming(rng, 4, 8, s.FP16), s.PATTERN_24))
+    arch.add("m", s.Mask(rng.random((4, 9)) < 0.5))
+    arch.add("s", s.ScaleSet(s.Granularity.PER_CHANNEL, rng.random(4) + 0.1))
+    return arch
+
+
 class TestErrors:
     def _base(self, tmp_path, rng):
         path = tmp_path / "x.s24t"
@@ -98,6 +168,63 @@ class TestErrors:
         with pytest.raises(s.InvariantError):
             s.read_archive(path)
 
+    def test_nonzero_meta_padding_rejected(self, tmp_path, rng):
+        # one row of 2:4 over 4 columns: two 2-bit fields, then 4 padding bits
+        sp = s.compress(random_conforming(rng, 1, 4, s.FP16), s.PATTERN_24)
+        path = tmp_path / "pad.s24t"
+        s.write_archive(s.TensorArchive().add("w", sp), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] |= 0x80
+        path.write_bytes(raw)
+        with pytest.raises(s.InvariantError):
+            s.read_archive(path)
+
+    def test_nonzero_mask_padding_rejected(self, tmp_path):
+        path = tmp_path / "pad.s24t"
+        s.write_archive(s.TensorArchive().add("m", s.Mask(np.ones((1, 3), dtype=bool))), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[-1] == 0b111
+        raw[-1] |= 0b1000
+        path.write_bytes(raw)
+        with pytest.raises(s.InvariantError):
+            s.read_archive(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path, raw = self._base(tmp_path, rng)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(s.InvariantError):
+            s.read_archive(path)
+
+    def test_invalid_utf8_name(self, tmp_path, rng):
+        path, raw = self._base(tmp_path, rng)
+        assert raw[12:13] == b"w"
+        raw[12] = 0xFF
+        path.write_bytes(raw)
+        with pytest.raises(s.InvariantError):
+            s.read_archive(path)
+
+    @pytest.mark.parametrize(
+        "entry, width",
+        [
+            (s.ScaleSet(s.Granularity.PER_TENSOR, np.array([0.5])), 8),
+            (s.DenseMatrix.from_values(np.array([[1.0]], dtype=np.float32), s.FP16), 2),
+        ],
+    )
+    def test_payload_not_whole_elements(self, tmp_path, entry, width):
+        # shorten the one-element payload by a byte and say so in payload_len
+        path = tmp_path / "short.s24t"
+        s.write_archive(s.TensorArchive().add("x", entry), path)
+        raw = path.read_bytes()
+        head = raw[: -width - 8]
+        path.write_bytes(head + struct.pack("<Q", width - 1) + raw[-width:-1])
+        with pytest.raises(s.TruncatedError):
+            s.read_archive(path)
+
+    def test_name_too_long_for_u16(self, tmp_path, rng):
+        arch = s.TensorArchive().add("x" * 65_536, random_dense(rng, 1, 1, s.FP32))
+        with pytest.raises(s.InvariantError):
+            s.write_archive(arch, tmp_path / "long.s24t")
+
     def test_error_codes_distinct(self):
         codes = {
             s.BadMagicError.code,
@@ -106,3 +233,29 @@ class TestErrors:
             s.InvariantError.code,
         }
         assert len(codes) == 4
+
+
+@pytest.fixture(scope="module")
+def valid_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "a.s24t"
+    s.write_archive(four_entry_archive(np.random.default_rng(5)), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_archive_reads_or_raises_archive_error(valid_archive, data):
+    path, valid = valid_archive
+    raw = bytearray(valid)
+    kind = data.draw(st.sampled_from(["flip", "cut", "extend"]))
+    if kind == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    elif kind == "cut":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=16))
+    path.write_bytes(raw)
+    try:
+        s.read_archive(path)
+    except s.ArchiveError:
+        pass

@@ -50,6 +50,41 @@ class TestPruneMagnitude:
         assert s.check_conformance(s.apply_mask(w, res.mask), s.PATTERN_24)
 
 
+def greedy_full_rescore_oracle(w, pattern, budget):
+    """First-improvement pairwise column swaps, each candidate scored by
+    re-pruning the whole permuted matrix. Returns (order, swaps_used)."""
+
+    def retained(order):
+        groups = np.abs(w.data.astype(np.float64))[:, order].reshape(w.rows, -1, pattern.m)
+        return float(-np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n].sum())
+
+    identity = np.arange(w.cols)
+    best_order, best_val = identity, retained(identity)
+    rng = np.random.default_rng(budget.seed)
+    swaps_left = budget.max_swaps
+    for restart in range(max(1, budget.restarts)):
+        order = identity.copy() if restart == 0 else rng.permutation(w.cols)
+        val = retained(order)
+        improved = True
+        while improved and swaps_left > 0:
+            improved = False
+            for i, j in itertools.combinations(range(w.cols), 2):
+                if swaps_left <= 0:
+                    break
+                if i // pattern.m == j // pattern.m:
+                    continue
+                cand = order.copy()
+                cand[i], cand[j] = cand[j], cand[i]
+                swaps_left -= 1
+                cval = retained(cand)
+                if cval > val:
+                    order, val = cand, cval
+                    improved = True
+        if val > best_val:
+            best_val, best_order = val, order
+    return best_order, budget.max_swaps - swaps_left
+
+
 class TestPermutationSearch:
     def test_partition_count_formula(self):
         count = len(list(s.enumerate_group_partitions(8, 4)))
@@ -82,6 +117,20 @@ class TestPermutationSearch:
             baseline = s.prune_magnitude(w, s.PATTERN_24).retained_magnitude
             _, res = s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="greedy", seed=0))
             assert res.retained_magnitude >= baseline - 1e-9
+
+    # fp16 magnitudes sum exactly in float64, so scoring two groups and
+    # re-scoring the whole matrix must take the same decisions. 37 swaps run
+    # out in the middle of the first sweep; 400 mid-way through a later one.
+    @pytest.mark.parametrize("max_swaps", [37, 400, 10_000])
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 12), (5, 24)])
+    def test_greedy_matches_full_rescore_loop(self, rng, shape, max_swaps):
+        vals = rng.standard_normal(shape) * rng.lognormal(0.0, 1.0, size=shape[1])
+        w = s.DenseMatrix.from_values(vals.astype(np.float32), s.FP16)
+        budget = s.SearchBudget(mode="greedy", restarts=3, max_swaps=max_swaps, seed=11)
+        perm, _ = s.find_permutation(w, s.PATTERN_24, budget)
+        order, swaps_used = greedy_full_rescore_oracle(w, s.PATTERN_24, budget)
+        assert np.array_equal(perm.perm, order)
+        assert budget.stats["swaps_used"] == swaps_used
 
     def test_heavy_tailed_improvement_frequency(self, rng):
         # column permutation usually recovers magnitude lost to the group
@@ -156,6 +205,19 @@ def tile_enumeration_oracle():
 ORACLE_TILE_MASKS = tile_enumeration_oracle()
 
 
+def transposable_per_tile_oracle(w):
+    """One 90-candidate einsum per 4x4 tile; the first best candidate wins."""
+    from sparse24.pruning import TILE_MASKS_2OF4
+
+    absw = np.abs(w.data.astype(np.float64))
+    bits = np.zeros(absw.shape, dtype=bool)
+    for r0 in range(0, w.rows, 4):
+        for c0 in range(0, w.cols, 4):
+            scores = np.einsum("kij,ij->k", TILE_MASKS_2OF4, absw[r0 : r0 + 4, c0 : c0 + 4])
+            bits[r0 : r0 + 4, c0 : c0 + 4] = TILE_MASKS_2OF4[int(np.argmax(scores))]
+    return bits
+
+
 class TestTransposableMask:
     def test_90_candidates(self):
         assert len(ORACLE_TILE_MASKS) == 90
@@ -169,7 +231,7 @@ class TestTransposableMask:
     def test_exhaustive_matches_oracle(self, rng):
         for _ in range(25):
             w = random_dense(rng, 4, 4, s.FP32)
-            res = s.find_transposable_mask(w, "exhaustive")
+            res = s.find_transposable_mask(w)
             best = max(float(np.abs(w.data)[m].sum()) for m in ORACLE_TILE_MASKS)
             assert res.retained_magnitude == pytest.approx(best, rel=1e-6)
 
@@ -177,29 +239,34 @@ class TestTransposableMask:
         w = np.zeros((4, 4), dtype=np.float32)
         w[0, 0] = w[0, 1] = w[1, 0] = w[1, 1] = 10.0
         w[2, 2] = w[2, 3] = w[3, 2] = w[3, 3] = 9.0
-        res = s.find_transposable_mask(s.DenseMatrix(w, s.FP32), "exhaustive")
+        res = s.find_transposable_mask(s.DenseMatrix(w, s.FP32))
         assert res.retained_magnitude == pytest.approx(76.0)
         assert np.all(res.mask.bits[:2, :2]) and np.all(res.mask.bits[2:, 2:])
 
     def test_both_axes_valid(self, rng):
-        for mode in ("exhaustive", "greedy"):
-            w = random_dense(rng, 8, 12, s.FP32)
-            res = s.find_transposable_mask(w, mode)
-            res.mask.check(s.PATTERN_24)
-            s.Mask(np.ascontiguousarray(res.mask.bits.T)).check(s.PATTERN_24)
+        w = random_dense(rng, 8, 12, s.FP32)
+        res = s.find_transposable_mask(w)
+        res.mask.check(s.PATTERN_24)
+        s.Mask(np.ascontiguousarray(res.mask.bits.T)).check(s.PATTERN_24)
 
-    def test_greedy_valid_and_reasonable(self, rng):
-        for _ in range(25):
-            w = random_dense(rng, 4, 4, s.FP32)
-            res = s.find_transposable_mask(w, "greedy")
-            assert res.mask.bits.sum() == 8
-            assert any(np.array_equal(res.mask.bits, m) for m in ORACLE_TILE_MASKS)
+    @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (8, 20), (20, 8)])
+    @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.FP32])
+    def test_matches_per_tile_loop(self, rng, shape, fmt):
+        w = random_dense(rng, *shape, fmt)
+        res = s.find_transposable_mask(w)
+        assert np.array_equal(res.mask.bits, transposable_per_tile_oracle(w))
+
+    def test_ties_keep_lowest_candidate(self, rng):
+        # magnitudes in {0, 1, 2} leave many tiles with several best candidates
+        w = s.DenseMatrix.from_values(rng.integers(0, 3, size=(8, 12)).astype(np.float32), s.FP16)
+        res = s.find_transposable_mask(w)
+        assert np.array_equal(res.mask.bits, transposable_per_tile_oracle(w))
 
     def test_transpose_symmetry(self, rng):
         w = random_dense(rng, 4, 4, s.FP32)
-        res = s.find_transposable_mask(w, "exhaustive")
+        res = s.find_transposable_mask(w)
         wt = s.DenseMatrix(np.ascontiguousarray(w.data.T), s.FP32)
-        res_t = s.find_transposable_mask(wt, "exhaustive")
+        res_t = s.find_transposable_mask(wt)
         assert res_t.retained_magnitude == pytest.approx(res.retained_magnitude, rel=1e-6)
 
     def test_dims_must_be_multiples_of_4(self, rng):
