@@ -23,13 +23,15 @@ Payloads: dense values row-major in the element width (bf16 as raw upper-half
 bits); sparse entries store values then metadata, each metadata row packed
 into ceil(log2 m)-bit fields little-endian within bytes and padded with zero
 bits to a byte boundary; scale sets are float64; masks pack one bit per
-element, rows padded the same way. Padding bits must be zero and nothing may
-follow the last entry, so every archive has one encoding. See docs/format.md
+element, rows padded the same way. Padding bits must be zero, entry names
+must be distinct and nothing may follow the last entry, so every archive has
+one encoding. See docs/format.md
 for a hex-dump walkthrough.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 
@@ -169,7 +171,9 @@ def _entry_payload(entry: Entry) -> bytes:
 
 
 def write_archive(archive: TensorArchive, path) -> None:
-    with open(path, "wb") as f:
+    """Write the archive to path. The whole archive is encoded before path is
+    opened, so an entry that cannot be encoded leaves any file there intact."""
+    with io.BytesIO() as f:
         f.write(MAGIC)
         f.write(struct.pack("<HI", VERSION, len(archive.entries)))
         for name, entry in archive.entries.items():
@@ -213,6 +217,9 @@ def write_archive(archive: TensorArchive, path) -> None:
                 f.write(struct.pack("<BII", KIND_MASK, entry.rows, entry.cols))
             f.write(struct.pack("<Q", len(payload)))
             f.write(payload)
+        data = f.getvalue()
+    with open(path, "wb") as out:
+        out.write(data)
 
 
 class _Reader:
@@ -249,6 +256,8 @@ def read_archive(path) -> TensorArchive:
             name = r.take(name_len).decode()
         except UnicodeDecodeError as exc:
             raise InvariantError(f"entry name is not UTF-8: {exc}") from exc
+        if name in archive.entries:
+            raise InvariantError(f"duplicate entry name {name!r}")
         (kind,) = r.unpack("<B")
         if kind == KIND_DENSE:
             elem_c, acc_c, rows, cols = r.unpack("<BBII")

@@ -90,10 +90,7 @@ def calibrate(
         for m in mats:
             if m.rows != rows:
                 raise ShapeError("per-row calibration needs identically shaped samples")
-        slices = [
-            np.concatenate([np.abs(m.data[r]).astype(np.float64) for m in mats])
-            for r in range(rows)
-        ]
+        slices = np.concatenate([np.abs(m.data).astype(np.float64) for m in mats], axis=1)
     scales = np.array([_slice_scale(s, method) for s in slices])
     return ScaleSet(granularity, scales)
 
@@ -114,13 +111,20 @@ def _slice_scale(absvals: np.ndarray, method: CalibMethod) -> float:
 def entropy_threshold(hist: np.ndarray) -> int:
     """Pick the clip point (in bins) minimizing KL(P || Q).
 
-    For each candidate i in [QUANT_BINS, HIST_BINS], P is hist[:i] with the
+    For each candidate i in [QUANT_BINS, len(hist)], P is hist[:i] with the
     clipped tail folded into the last bin; Q merges P into QUANT_BINS levels
     and redistributes each merged count uniformly over its nonzero source
-    bins. Ties take the smallest i.
+    bins. Candidates with no mass are skipped, and ties take the smallest i;
+    with no candidate left the answer is len(hist).
+
+    Known defect: at i = QUANT_BINS every level merges one bin, so Q equals
+    P and KL is 0. The search therefore returns QUANT_BINS (amax/16 for a
+    2048-bin histogram) on any histogram, up to rounding noise.
     """
     hist = np.asarray(hist, dtype=np.float64)
     nbins = len(hist)
+    if nbins < QUANT_BINS:
+        return nbins
     total = hist.sum()
     cum = np.concatenate([[0.0], np.cumsum(hist)])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,32 +135,34 @@ def entropy_threshold(hist: np.ndarray) -> int:
     # KL(P||Q) reduces to (1/T) * [sum p*log p  -  sum_chunks S*log(S/nnz)]
     # because Q is piecewise constant (S/nnz) over each chunk's nonzero bins
     # and both distributions share the normalizer T.
-    best_i, best_kl = nbins, np.inf
-    for i in range(QUANT_BINS, nbins + 1):
-        tail = total - cum[i]
-        last = hist[i - 1] + tail
-        if cum[i - 1] + last == 0:
-            continue
-        base, extra = divmod(i, QUANT_BINS)
-        sizes = np.full(QUANT_BINS, base)
-        sizes[:extra] += 1
-        starts = np.concatenate([[0], np.cumsum(sizes)])  # chunk boundaries
-        chunk_sum = cum[starts[1:]] - cum[starts[:-1]]
-        chunk_nz = (cum_nz[starts[1:]] - cum_nz[starts[:-1]]).astype(np.float64)
-        # fold the clipped tail into the last bin of the last chunk
-        chunk_sum[-1] += tail
-        if last > 0 and hist[i - 1] == 0:
-            chunk_nz[-1] += 1
-        sum_plogp = cum_plogp[i - 1] + (last * np.log(last) if last > 0 else 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    cand = np.arange(QUANT_BINS, nbins + 1)
+    tail = total - cum[cand]
+    last = hist[cand - 1] + tail
+    T = cum[cand - 1] + last
+    merged_sum = np.empty(len(cand))
+    k = np.arange(QUANT_BINS + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sum_plogp = cum_plogp[cand - 1] + np.where(last > 0, last * np.log(last), 0.0)
+        # Candidates i with one base = i // QUANT_BINS share a chunk layout:
+        # the first extra = i % QUANT_BINS chunks hold base + 1 bins. One
+        # (candidates x chunks) pass per base keeps the block small.
+        for base in range(1, nbins // QUANT_BINS + 1):
+            rows = slice((base - 1) * QUANT_BINS, base * QUANT_BINS)
+            extra = cand[rows, None] - base * QUANT_BINS
+            starts = k * base + np.minimum(k, extra)  # chunk boundaries
+            chunk_sum = np.diff(cum[starts], axis=1)
+            chunk_nz = np.diff(cum_nz[starts], axis=1).astype(np.float64)
+            # fold the clipped tail into the last bin of the last chunk
+            chunk_sum[:, -1] += tail[rows]
+            chunk_nz[:, -1] += (last[rows] > 0) & (hist[cand[rows] - 1] == 0)
             merged = np.where(
                 chunk_sum > 0, chunk_sum * np.log(chunk_sum / np.maximum(chunk_nz, 1)), 0.0
             )
-        T = cum[i - 1] + last
-        kl = (sum_plogp - merged.sum()) / T
-        if kl < best_kl:
-            best_kl, best_i = kl, i
-    return best_i
+            merged_sum[rows] = merged.sum(axis=1)
+        kl = (sum_plogp - merged_sum) / T
+    kl[(T == 0) | np.isnan(kl)] = np.inf
+    best = np.argmin(kl)
+    return int(cand[best]) if kl[best] < np.inf else nbins
 
 
 def quantize(x: DenseMatrix, scale: ScaleSet) -> DenseMatrix:

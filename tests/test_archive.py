@@ -225,6 +225,29 @@ class TestErrors:
         with pytest.raises(s.InvariantError):
             s.write_archive(arch, tmp_path / "long.s24t")
 
+    @pytest.mark.parametrize(
+        "name, entry",
+        [
+            ("x" * 70_000, s.DenseMatrix.from_values(np.zeros((1, 1)), s.FP32)),
+            ("odd", object()),
+        ],
+        ids=["name_too_long", "unsupported_type"],
+    )
+    def test_rejected_entry_leaves_existing_file_intact(self, tmp_path, rng, name, entry):
+        path, raw = self._base(tmp_path, rng)
+        arch = s.TensorArchive().add("w", random_dense(rng, 2, 2, s.FP32)).add(name, entry)
+        with pytest.raises(s.InvariantError):
+            s.write_archive(arch, path)
+        assert path.read_bytes() == raw
+
+    def test_duplicate_entry_name_rejected(self, tmp_path, rng):
+        # two one-entry archives named "w", joined under one 2-entry header
+        path, first = self._base(tmp_path, rng)
+        _, second = self._base(tmp_path, rng)
+        path.write_bytes(first[:6] + struct.pack("<I", 2) + first[10:] + second[10:])
+        with pytest.raises(s.InvariantError, match="duplicate"):
+            s.read_archive(path)
+
     def test_error_codes_distinct(self):
         codes = {
             s.BadMagicError.code,
