@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .codec import SparseNM
-from .formats import INT8, DenseMatrix, ShapeError
+from .formats import INT8, DenseMatrix, ShapeError, require_finite
 from .kernels import spmm
 
 
@@ -78,11 +78,14 @@ def calibrate(
     max: amax/127 per slice. percentile(p): p-th percentile of |x| per slice,
     over 127. entropy: clip threshold minimizing KL divergence between the
     clipped distribution and its 128-level quantization (2048-bin histogram
-    of |x|), over 127. All-zero slices get scale 1.0.
+    of |x|), over 127. All-zero slices get scale 1.0. Raises
+    :class:`NonFiniteError` if any sample holds NaN or ±inf.
     """
     mats = list(samples)
     if not mats:
         raise ValueError("empty calibration stream")
+    for m in mats:
+        require_finite(m.data, "calibration samples")
     if granularity is Granularity.PER_TENSOR:
         slices = [np.concatenate([np.abs(m.data).ravel().astype(np.float64) for m in mats])]
     else:
@@ -166,7 +169,11 @@ def entropy_threshold(hist: np.ndarray) -> int:
 
 
 def quantize(x: DenseMatrix, scale: ScaleSet) -> DenseMatrix:
-    """q = clamp(round_nearest_even(x / scale), -128, 127), as INT8."""
+    """q = clamp(round_nearest_even(x / scale), -128, 127), as INT8.
+
+    Raises :class:`NonFiniteError` if ``x`` holds NaN or ±inf.
+    """
+    require_finite(x.data, "values to quantize")
     s = scale.per_row_of(x.rows)[:, None]
     q = np.clip(np.rint(x.data.astype(np.float64) / s), -128, 127).astype(np.int32)
     return DenseMatrix(q, INT8)
@@ -195,7 +202,9 @@ def quantized_sparse_gemm(
 
 def sparse_quantize(s: SparseNM, scale: ScaleSet) -> SparseNM:
     """Quantize the kept values of a compressed tensor (zeros stay zero, so
-    N:M conformance is preserved)."""
+    N:M conformance is preserved). Raises :class:`NonFiniteError` if a
+    kept value is NaN or ±inf."""
+    require_finite(s.values, "values to quantize")
     sc = scale.per_row_of(s.rows)[:, None]
     q = np.clip(np.rint(s.values.astype(np.float64) / sc), -128, 127).astype(np.int32)
     return SparseNM(s.cols_orig, s.pattern, q, s.meta.copy(), INT8)

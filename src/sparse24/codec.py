@@ -112,8 +112,8 @@ class SparseNM:
 def check_conformance(a: DenseMatrix, pattern: NMPattern, raise_on_fail: bool = False) -> bool:
     """True iff every aligned group of m row elements has at most n nonzeros."""
     pattern.check_divides(a.cols)
-    groups = (a.data != 0).reshape(a.rows, -1, pattern.m)
-    counts = groups.sum(axis=2)
+    nz = (a.data != 0).reshape(a.rows, -1, pattern.m)
+    counts = nz.astype(np.int16) @ np.ones(pattern.m, dtype=np.int16)
     ok = bool(np.all(counts <= pattern.n))
     if not ok and raise_on_fail:
         r, g = np.argwhere(counts > pattern.n)[0]
@@ -128,16 +128,22 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     kept, and remaining slots take the smallest unused indices in ascending
     order with value 0 (canonical padding).
     """
-    check_conformance(a, pattern, raise_on_fail=True)
+    pattern.check_divides(a.cols)
     n, m = pattern.n, pattern.m
     rows = a.rows
     groups = a.data.reshape(rows, -1, m)
     nz = groups != 0
+    # zero_rank[..., k] counts the zeros at indices <= k of each group; an
+    # int16 matmul with an upper-triangular ones matrix is faster than a
+    # cumsum along the short group axis. The last index counts all zeros.
+    zero_rank = (~nz).astype(np.int16) @ np.triu(np.ones((m, m), dtype=np.int16))
+    zeros = zero_rank[:, :, -1:]
+    if np.any(zeros < m - n):
+        check_conformance(a, pattern, raise_on_fail=True)
     # Keep every nonzero plus the first n - nnz zeros of each group in index
     # order; row-major order of the kept flags then lists groups in order and
     # indices ascending within each group.
-    zero_rank = np.cumsum(~nz, axis=2)
-    kept = nz | (zero_rank <= n - nz.sum(axis=2, keepdims=True))
+    kept = nz | (zero_rank <= zeros - (m - n))
     flat = np.flatnonzero(kept)
     return SparseNM(
         cols_orig=a.cols,

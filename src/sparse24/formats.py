@@ -97,6 +97,18 @@ class ShapeError(ValueError):
     pass
 
 
+class NonFiniteError(ValueError):
+    """A tensor holds NaN or ±inf where only finite values have a meaning."""
+
+    code = "non_finite"
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteError` unless every element of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} hold NaN or ±inf")
+
+
 def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     """Round values into the target element type (round-to-nearest-even).
 

@@ -260,6 +260,37 @@ class TestQuantize:
             s.quantize(x, scale)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("granularity", [s.Granularity.PER_TENSOR, s.Granularity.PER_ROW])
+    @pytest.mark.parametrize("method", ["max", "percentile=99.9", "entropy"])
+    def test_calibrate_rejects(self, rng, method, granularity, bad):
+        good = random_dense(rng, 4, 8, s.FP32)
+        data = random_dense(rng, 4, 8, s.FP32).data.copy()
+        data[2, 3] = bad
+        with pytest.raises(s.NonFiniteError) as exc:
+            s.calibrate([good, s.DenseMatrix(data, s.FP32)], s.CalibMethod.parse(method), granularity)
+        assert exc.value.code == "non_finite"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_quantize_rejects(self, rng, bad):
+        data = random_dense(rng, 4, 8, s.FP32).data.copy()
+        data[1, 1] = bad
+        scale = s.ScaleSet(s.Granularity.PER_TENSOR, np.array([0.1]))
+        with pytest.raises(s.NonFiniteError):
+            s.quantize(s.DenseMatrix(data, s.FP32), scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_sparse_quantize_rejects(self, rng, bad):
+        sp = s.compress(random_conforming(rng, 4, 8, s.FP32), s.PATTERN_24)
+        values = sp.values.copy()
+        values[3, 2] = bad
+        bad_sp = s.SparseNM(sp.cols_orig, sp.pattern, values, sp.meta.copy(), sp.fmt)
+        scale = s.ScaleSet(s.Granularity.PER_TENSOR, np.array([0.1]))
+        with pytest.raises(s.NonFiniteError):
+            s.sparse_quantize(bad_sp, scale)
+
+
 class TestQuantizedSparseGemm:
     def test_unit_scales_equal_integer_spmm(self, rng):
         a = random_conforming(rng, 8, 32, s.INT8)

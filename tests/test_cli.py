@@ -61,6 +61,46 @@ class TestPruneCheckPipeline:
         s.Mask(np.ascontiguousarray(mask.bits.T)).check(s.PATTERN_24)
 
 
+class TestDataErrors:
+    def test_prune_non_finite_weight(self, runner, tmp_path, rng):
+        src = tmp_path / "w.s24t"
+        data = random_dense(rng, 4, 8, s.FP32).data.copy()
+        data[1, 6] = np.nan
+        write_dense(src, s.DenseMatrix(data, s.FP32))
+        result = runner.invoke(main, ["prune", str(src), str(tmp_path / "p.s24t")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[non_finite]:")
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "defect, code",
+        [
+            ("truncated", "truncated"),
+            ("empty", "truncated"),
+            ("bad_magic", "bad_magic"),
+            ("trailing_byte", "invariant_violation"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "compress", "prune"])
+    def test_corrupt_archive(self, runner, tmp_path, rng, command, defect, code):
+        path = tmp_path / "w.s24t"
+        write_dense(path, random_conforming(rng, 4, 8, s.FP16))
+        raw = path.read_bytes()
+        path.write_bytes(
+            {
+                "truncated": raw[:-3],
+                "empty": b"",
+                "bad_magic": b"XXXX" + raw[4:],
+                "trailing_byte": raw + b"\0",
+            }[defect]
+        )
+        args = [command, str(path)] + ([] if command == "check" else [str(tmp_path / "out.s24t")])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error[{code}]:")
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestCompressDecompress:
     def test_roundtrip_via_cli(self, runner, tmp_path, rng):
         src = tmp_path / "w.s24t"

@@ -84,6 +84,36 @@ class TestCompress:
         assert np.array_equal(s.decompress(sp).data, a.data)
 
 
+def compress_cumsum_oracle(a, pattern):
+    """The cumsum-based compress that the zero-rank matmul replaced.
+    Returns (values, meta)."""
+    n, m = pattern.n, pattern.m
+    groups = a.data.reshape(a.rows, -1, m)
+    nz = groups != 0
+    zero_rank = np.cumsum(~nz, axis=2)
+    kept = nz | (zero_rank <= n - nz.sum(axis=2, keepdims=True))
+    flat = np.flatnonzero(kept)
+    return groups.ravel()[flat].reshape(a.rows, -1), (flat % m).astype(np.uint8).reshape(a.rows, -1)
+
+
+class TestCompressMatchesCumsum:
+    # conforming matrices whose groups are then thinned at random, so every
+    # nonzero count from 0 to n occurs and padding is exercised everywhere
+    @pytest.mark.parametrize("fmt", s.ALL_FORMATS, ids=str)
+    @pytest.mark.parametrize("pattern", ["2:4", "1:2", "3:8", "1:4"])
+    def test_same_values_and_meta_as_cumsum(self, rng, pattern, fmt):
+        pattern = s.NMPattern.parse(pattern)
+        for _ in range(12):
+            rows, groups = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+            a = random_conforming(rng, rows, groups * pattern.m, fmt, pattern)
+            data = np.where(rng.random(a.data.shape) < 0.3, 0, a.data).astype(a.data.dtype)
+            a = s.DenseMatrix(data, fmt)
+            sp = s.compress(a, pattern)
+            values, meta = compress_cumsum_oracle(a, pattern)
+            assert sp.values.dtype == values.dtype and np.array_equal(sp.values, values)
+            assert sp.meta.dtype == meta.dtype and np.array_equal(sp.meta, meta)
+
+
 class TestDecompress:
     def test_layout(self):
         sp = s.SparseNM(

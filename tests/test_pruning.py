@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,48 @@ class TestPruneMagnitude:
         assert s.check_conformance(s.apply_mask(w, res.mask), s.PATTERN_24)
 
 
+def prune_argsort_oracle(w, pattern):
+    """The stable-argsort pruning that the rank count replaced.
+    Returns (bits, retained_magnitude, lost_magnitude)."""
+    groups = np.abs(w.data.astype(np.float64)).reshape(w.rows, -1, pattern.m)
+    # stable argsort on -|w| keeps lower indices first among ties
+    order = np.argsort(-groups, axis=2, kind="stable")[:, :, : pattern.n]
+    bits = np.zeros(groups.shape, dtype=bool)
+    np.put_along_axis(bits, order, True, axis=2)
+    total = float(groups.sum())
+    retained = float(groups[bits].sum())
+    return bits.reshape(w.rows, w.cols), retained, total - retained
+
+
+PATTERNS = [s.NMPattern.parse(p) for p in ("1:2", "2:4", "1:4", "3:4", "3:8", "2:8")]
+
+
+class TestPruneMatchesArgsort:
+    # 6 patterns x 6 formats x 12 matrices = 432 cases. A third hold small
+    # integers, so ties (also between +x and -x) are everywhere; a third span
+    # ten decades, so float64 sums round and their order shows.
+    @pytest.mark.parametrize("fmt", s.ALL_FORMATS, ids=str)
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
+    def test_same_mask_and_sums_as_stable_argsort(self, rng, pattern, fmt):
+        for case in range(12):
+            rows, groups = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            shape = (rows, groups * pattern.m)
+            vals = rng.standard_normal(shape).astype(np.float32)
+            if case % 3 == 0:
+                vals = rng.integers(-3, 4, size=shape).astype(np.float32)
+            elif case % 3 == 1:
+                vals *= rng.lognormal(0, 2, size=shape[1])
+            else:
+                vals *= 10.0 ** rng.uniform(-6, 4, size=shape)
+            vals[rng.random(rows) < 0.2] = 0.0  # zero rows
+            w = s.DenseMatrix.from_values(vals, fmt)
+            res = s.prune_magnitude(w, pattern)
+            bits, retained, lost = prune_argsort_oracle(w, pattern)
+            assert np.array_equal(res.mask.bits, bits)
+            assert res.retained_magnitude == retained
+            assert res.lost_magnitude == lost
+
+
 def greedy_full_rescore_oracle(w, pattern, budget):
     """First-improvement pairwise column swaps, each candidate scored by
     re-pruning the whole permuted matrix. Returns (order, swaps_used)."""
@@ -83,6 +126,55 @@ def greedy_full_rescore_oracle(w, pattern, budget):
         if val > best_val:
             best_val, best_order = val, order
     return best_order, budget.max_swaps - swaps_left
+
+
+def greedy_two_group_oracle(w, pattern, budget):
+    """The greedy search that the gain arrays replaced: every candidate swap
+    is scored by re-pruning its two groups. Returns (order, swaps_used)."""
+
+    def top_n(absw):
+        groups = absw.reshape(absw.shape[0], -1, pattern.m)
+        return -np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n]
+
+    m = pattern.m
+    absw = np.abs(w.data.astype(np.float64))
+    identity = np.arange(w.cols)
+    best_order, best_val = identity, float(top_n(absw).sum())
+    rng = np.random.default_rng(budget.seed)
+    swaps_left = budget.max_swaps
+    for restart in range(max(1, budget.restarts)):
+        order = identity.copy() if restart == 0 else rng.permutation(w.cols)
+        group_scores = top_n(absw[:, order]).sum(axis=(0, 2))
+        improved = True
+        while improved and swaps_left > 0:
+            improved = False
+            for i, j in itertools.combinations(range(w.cols), 2):
+                if swaps_left <= 0:
+                    break
+                gi, gj = i // m, j // m
+                if gi == gj:
+                    continue
+                cols = np.concatenate((order[gi * m : gi * m + m], order[gj * m : gj * m + m]))
+                cols[i - gi * m], cols[m + j - gj * m] = order[j], order[i]
+                swaps_left -= 1
+                pair = top_n(absw[:, cols]).sum(axis=(0, 2))
+                if pair.sum() > group_scores[gi] + group_scores[gj]:
+                    order[i], order[j] = order[j], order[i]
+                    group_scores[[gi, gj]] = pair
+                    improved = True
+        val = float(top_n(absw[:, order]).sum())
+        if val > best_val:
+            best_val, best_order = val, order
+    return best_order, budget.max_swaps - swaps_left
+
+
+def assert_matches_two_group_oracle(w, pattern, budget):
+    perm, res = s.find_permutation(w, pattern, budget)
+    order, swaps_used = greedy_two_group_oracle(w, pattern, budget)
+    assert np.array_equal(perm.perm, order)
+    assert budget.stats["swaps_used"] == swaps_used
+    bits, _, _ = prune_argsort_oracle(s.permute_columns(w, s.Permutation(order)), pattern)
+    assert np.array_equal(res.mask.bits, bits)
 
 
 class TestPermutationSearch:
@@ -132,6 +224,50 @@ class TestPermutationSearch:
         assert np.array_equal(perm.perm, order)
         assert budget.stats["swaps_used"] == swaps_used
 
+    # Budgets of 5 and 40 swaps run out in the first sweep, 300 in a later
+    # one or a later restart; 10 000 lets every restart converge.
+    @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.FP32], ids=str)
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
+    def test_greedy_matches_two_group_loop(self, rng, pattern, fmt):
+        for restarts, max_swaps in [(1, 5), (2, 40), (3, 300), (4, 10_000)]:
+            rows, cols = int(rng.integers(1, 20)), pattern.m * int(rng.integers(2, 7))
+            vals = rng.standard_normal((rows, cols)) * rng.lognormal(0.0, 1.0, size=cols)
+            w = s.DenseMatrix.from_values(vals.astype(np.float32), fmt)
+            budget = s.SearchBudget(mode="greedy", restarts=restarts, max_swaps=max_swaps, seed=int(rng.integers(1000)))
+            assert_matches_two_group_oracle(w, pattern, budget)
+
+    def test_greedy_matches_two_group_loop_on_ties(self, rng):
+        vals = rng.integers(-2, 3, size=(12, 16)).astype(np.float32)
+        w = s.DenseMatrix.from_values(vals, s.FP16)
+        assert_matches_two_group_oracle(w, s.PATTERN_24, s.SearchBudget(mode="greedy", restarts=3, seed=5))
+
+    @pytest.mark.parametrize("shape", [(300, 56), (520, 40)])
+    def test_greedy_matches_two_group_loop_in_partner_batches(self, rng, shape):
+        # tall enough that a column's partners are scored in several batches
+        vals = rng.standard_normal(shape) * rng.lognormal(0.0, 1.0, size=shape[1])
+        w = s.DenseMatrix.from_values(vals.astype(np.float32), s.FP16)
+        budget = s.SearchBudget(mode="greedy", restarts=2, max_swaps=2500, seed=int(rng.integers(1000)))
+        assert_matches_two_group_oracle(w, s.PATTERN_24, budget)
+
+    def test_greedy_matches_two_group_loop_at_benchmark_size(self, rng):
+        # a 64x32 FP16 weight with column-scaled magnitudes, 5000 swaps, 4 restarts
+        vals = rng.standard_normal((64, 32), dtype=np.float32)
+        vals *= rng.lognormal(0.0, 1.0, size=32).astype(np.float32)
+        w = s.DenseMatrix.from_values(vals, s.FP16)
+        budget = s.SearchBudget(mode="greedy", restarts=4, max_swaps=5000, seed=int(rng.integers(2**31)))
+        assert_matches_two_group_oracle(w, s.PATTERN_24, budget)
+
+    def test_greedy_memory_stays_linear_in_matrix_size(self, rng):
+        # a table of every position x candidate column would need ~1 GB here
+        w = s.DenseMatrix.from_values(rng.standard_normal((256, 512)).astype(np.float32), s.FP16)
+        tracemalloc.start()
+        try:
+            s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="greedy", max_swaps=500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_heavy_tailed_improvement_frequency(self, rng):
         # column permutation usually recovers magnitude lost to the group
         # constraint when values are heavy-tailed
@@ -145,6 +281,28 @@ class TestPermutationSearch:
             if res.retained_magnitude > baseline + 1e-9:
                 improved += 1
         assert improved / trials > 0.5
+
+
+class TestNonFinite:
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def weight(self, request, rng):
+        data = random_dense(rng, 8, 8, s.FP32).data.copy()
+        data[3, 5] = request.param
+        return s.DenseMatrix(data, s.FP32)
+
+    def test_prune_magnitude_rejects(self, weight):
+        with pytest.raises(s.NonFiniteError) as exc:
+            s.prune_magnitude(weight, s.PATTERN_24)
+        assert exc.value.code == "non_finite"
+
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_find_permutation_rejects(self, weight, mode):
+        with pytest.raises(s.NonFiniteError):
+            s.find_permutation(weight, s.PATTERN_24, s.SearchBudget(mode=mode))
+
+    def test_find_transposable_mask_rejects(self, weight):
+        with pytest.raises(s.NonFiniteError):
+            s.find_transposable_mask(weight)
 
 
 class TestPropagatePermutation:
