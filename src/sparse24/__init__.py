@@ -21,7 +21,6 @@ from .formats import (
     NumericFormat,
     ShapeError,
     gemm_dense,
-    round_to_format,
 )
 from .codec import (
     ConformanceError,
@@ -77,7 +76,6 @@ from .workflow import (
     eligible,
     make_blobs,
     parse_recipe,
-    retrain_sparse,
     run_recipe,
     train,
     validate_recipe,

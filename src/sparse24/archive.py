@@ -46,6 +46,11 @@ VERSION = 1
 
 KIND_DENSE, KIND_SPARSE, KIND_SCALES, KIND_MASK = range(4)
 
+# Header fields after the kind byte, per kind: (elem, acc, rows, cols) for
+# dense; (elem, acc, rows, cols, n, m) for sparse; (granularity, count) for
+# scale sets; (rows, cols) for masks.
+_HEADERS = {KIND_DENSE: "<BBII", KIND_SPARSE: "<BBIIBB", KIND_SCALES: "<BI", KIND_MASK: "<II"}
+
 _ELEM_CODES = {ElemType.FP32: 0, ElemType.TF32: 1, ElemType.FP16: 2, ElemType.BF16: 3, ElemType.INT8: 4}
 _ACC_CODES = {AccType.FP32: 0, AccType.FP16: 1, AccType.INT32: 2}
 _GRAN_CODES = {Granularity.PER_TENSOR: 0, Granularity.PER_CHANNEL: 1, Granularity.PER_ROW: 2}
@@ -100,14 +105,9 @@ def _elem_dtype(elem: ElemType) -> np.dtype:
 
 
 def _encode_values(arr: np.ndarray, elem: ElemType) -> bytes:
-    if elem is ElemType.INT8:
-        return np.ascontiguousarray(arr, dtype="<i1").tobytes()
-    if elem is ElemType.FP16:
-        return np.ascontiguousarray(arr, dtype=np.float32).astype("<f2").tobytes()
-    if elem is ElemType.BF16:
-        bits = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
-        return bits.astype("<u2").tobytes()
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    if elem is ElemType.BF16:  # the upper half of each float32 word
+        arr = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
+    return np.ascontiguousarray(arr, dtype=_elem_dtype(elem)).tobytes()
 
 
 def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.ndarray:
@@ -156,17 +156,22 @@ def unpack_bit_fields(raw: bytes, n_rows: int, per_row: int, bits_per_field: int
     return out
 
 
-def _entry_payload(entry: Entry) -> bytes:
+def _encode_entry(entry: Entry) -> tuple[int, tuple, bytes]:
+    """The kind, the header fields laid out by ``_HEADERS[kind]`` and the
+    payload of one entry."""
     if isinstance(entry, DenseMatrix):
-        return _encode_values(entry.data, entry.fmt.elem)
+        fields = (_ELEM_CODES[entry.fmt.elem], _ACC_CODES[entry.fmt.acc], entry.rows, entry.cols)
+        return KIND_DENSE, fields, _encode_values(entry.data, entry.fmt.elem)
     if isinstance(entry, SparseNM):
+        p, codes = entry.pattern, (_ELEM_CODES[entry.fmt.elem], _ACC_CODES[entry.fmt.acc])
         values = _encode_values(entry.values, entry.fmt.elem)
-        meta = pack_bit_fields(entry.meta, entry.pattern.meta_bits)
-        return values + meta
+        meta = pack_bit_fields(entry.meta, p.meta_bits)
+        return KIND_SPARSE, (*codes, entry.rows, entry.cols_orig, p.n, p.m), values + meta
     if isinstance(entry, ScaleSet):
-        return np.ascontiguousarray(entry.scales, dtype="<f8").tobytes()
+        fields = (_GRAN_CODES[entry.granularity], len(entry.scales))
+        return KIND_SCALES, fields, np.ascontiguousarray(entry.scales, dtype="<f8").tobytes()
     if isinstance(entry, Mask):
-        return pack_bit_fields(entry.bits, 1)
+        return KIND_MASK, (entry.rows, entry.cols), pack_bit_fields(entry.bits, 1)
     raise InvariantError(f"unsupported entry type {type(entry).__name__}")
 
 
@@ -177,44 +182,14 @@ def write_archive(archive: TensorArchive, path) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<HI", VERSION, len(archive.entries)))
         for name, entry in archive.entries.items():
-            payload = _entry_payload(entry)
+            kind, fields, payload = _encode_entry(entry)
             encoded = name.encode()
             if len(encoded) > 0xFFFF:
                 raise InvariantError(f"entry name is {len(encoded)} bytes, the limit is 65535")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
-            if isinstance(entry, DenseMatrix):
-                f.write(
-                    struct.pack(
-                        "<BBBII",
-                        KIND_DENSE,
-                        _ELEM_CODES[entry.fmt.elem],
-                        _ACC_CODES[entry.fmt.acc],
-                        entry.rows,
-                        entry.cols,
-                    )
-                )
-            elif isinstance(entry, SparseNM):
-                f.write(
-                    struct.pack(
-                        "<BBBIIBB",
-                        KIND_SPARSE,
-                        _ELEM_CODES[entry.fmt.elem],
-                        _ACC_CODES[entry.fmt.acc],
-                        entry.rows,
-                        entry.cols_orig,
-                        entry.pattern.n,
-                        entry.pattern.m,
-                    )
-                )
-            elif isinstance(entry, ScaleSet):
-                f.write(
-                    struct.pack(
-                        "<BBI", KIND_SCALES, _GRAN_CODES[entry.granularity], len(entry.scales)
-                    )
-                )
-            elif isinstance(entry, Mask):
-                f.write(struct.pack("<BII", KIND_MASK, entry.rows, entry.cols))
+            f.write(struct.pack("<B", kind))
+            f.write(struct.pack(_HEADERS[kind], *fields))
             f.write(struct.pack("<Q", len(payload)))
             f.write(payload)
         data = f.getvalue()
@@ -259,14 +234,17 @@ def read_archive(path) -> TensorArchive:
         if name in archive.entries:
             raise InvariantError(f"duplicate entry name {name!r}")
         (kind,) = r.unpack("<B")
+        if kind not in _HEADERS:
+            raise InvariantError(f"unknown entry kind {kind}")
+        head = r.unpack(_HEADERS[kind])
         if kind == KIND_DENSE:
-            elem_c, acc_c, rows, cols = r.unpack("<BBII")
+            elem_c, acc_c, rows, cols = head
             fmt = _lookup_format(elem_c, acc_c)
             (plen,) = r.unpack("<Q")
             data = _decode_values(r.take(plen), fmt.elem, (rows, cols))
             archive.add(name, DenseMatrix(data, fmt))
         elif kind == KIND_SPARSE:
-            elem_c, acc_c, rows, cols, n, m = r.unpack("<BBIIBB")
+            elem_c, acc_c, rows, cols, n, m = head
             fmt = _lookup_format(elem_c, acc_c)
             try:
                 pattern = NMPattern(n, m)
@@ -289,7 +267,7 @@ def read_archive(path) -> TensorArchive:
                 raise InvariantError(str(exc)) from exc
             archive.add(name, entry)
         elif kind == KIND_SCALES:
-            gran_c, n_scales = r.unpack("<BI")
+            gran_c, n_scales = head
             if gran_c not in _GRAN_BY_CODE:
                 raise InvariantError(f"unknown granularity code {gran_c}")
             (plen,) = r.unpack("<Q")
@@ -302,13 +280,11 @@ def read_archive(path) -> TensorArchive:
                 archive.add(name, ScaleSet(_GRAN_BY_CODE[gran_c], scales.astype(np.float64)))
             except ValueError as exc:
                 raise InvariantError(str(exc)) from exc
-        elif kind == KIND_MASK:
-            rows, cols = r.unpack("<II")
+        else:  # KIND_MASK
+            rows, cols = head
             (plen,) = r.unpack("<Q")
             bits = unpack_bit_fields(r.take(plen), rows, cols, 1)
             archive.add(name, Mask(bits.astype(bool)))
-        else:
-            raise InvariantError(f"unknown entry kind {kind}")
     if r.pos != len(raw):
         raise InvariantError(f"{len(raw) - r.pos} trailing bytes after the last entry")
     return archive

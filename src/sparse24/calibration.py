@@ -174,9 +174,13 @@ def quantize(x: DenseMatrix, scale: ScaleSet) -> DenseMatrix:
     Raises :class:`NonFiniteError` if ``x`` holds NaN or ±inf.
     """
     require_finite(x.data, "values to quantize")
-    s = scale.per_row_of(x.rows)[:, None]
-    q = np.clip(np.rint(x.data.astype(np.float64) / s), -128, 127).astype(np.int32)
-    return DenseMatrix(q, INT8)
+    return DenseMatrix(_to_int8(x.data, scale), INT8)
+
+
+def _to_int8(values: np.ndarray, scale: ScaleSet) -> np.ndarray:
+    """clamp(round_nearest_even(values / scale), -128, 127) per row, in float64."""
+    s = scale.per_row_of(len(values))[:, None]
+    return np.clip(np.rint(values.astype(np.float64) / s), -128, 127).astype(np.int32)
 
 
 def dequantize(q: DenseMatrix, scale: ScaleSet) -> np.ndarray:
@@ -205,6 +209,4 @@ def sparse_quantize(s: SparseNM, scale: ScaleSet) -> SparseNM:
     N:M conformance is preserved). Raises :class:`NonFiniteError` if a
     kept value is NaN or ±inf."""
     require_finite(s.values, "values to quantize")
-    sc = scale.per_row_of(s.rows)[:, None]
-    q = np.clip(np.rint(s.values.astype(np.float64) / sc), -128, 127).astype(np.int32)
-    return SparseNM(s.cols_orig, s.pattern, q, s.meta.copy(), INT8)
+    return SparseNM(s.cols_orig, s.pattern, _to_int8(s.values, scale), s.meta.copy(), INT8)

@@ -10,16 +10,8 @@ import numpy as np
 
 from . import archive as ar
 from .calibration import CalibMethod, Granularity, calibrate
-from .codec import ConformanceError, Mask, SparseNM, apply_mask, check_conformance, compress, decompress
-from .formats import (
-    ALL_FORMATS,
-    FP32,
-    DenseMatrix,
-    FormatError,
-    GemmShape,
-    NMPattern,
-    ShapeError,
-)
+from .codec import SparseNM, apply_mask, check_conformance, compress, decompress
+from .formats import ALL_FORMATS, FP32, DenseMatrix, GemmShape, NMPattern
 from .kernels import bench as run_bench
 from .kernels import spmm
 from .pruning import (
@@ -29,21 +21,14 @@ from .pruning import (
     permute_columns,
     prune_magnitude,
 )
-from .workflow import TinyNet, make_blobs, parse_recipe, run_recipe, RecipeError
+from .workflow import TinyNet, make_blobs, parse_recipe, run_recipe
 
 _FORMATS = {str(f): f for f in ALL_FORMATS}
 _FORMATS.update({f.elem.value: f for f in ALL_FORMATS if f.acc.value != "fp16"})
 
-DATA_ERRORS = (
-    ConformanceError,
-    FormatError,
-    ShapeError,
-    ar.ArchiveError,
-    RecipeError,
-    KeyError,
-    ValueError,
-    OSError,
-)
+# ValueError covers the library's data errors: archive, conformance, format,
+# shape, recipe and non-finite errors all derive from it.
+DATA_ERRORS = (KeyError, ValueError, OSError)
 
 
 def _fail(exc: BaseException) -> None:

@@ -133,11 +133,6 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     raise FormatError(f"unknown element type {elem}")
 
 
-def round_to_format(x: float, fmt: NumericFormat) -> float:
-    """Scalar convenience wrapper around :func:`round_array`."""
-    return round_array(np.array([x], dtype=np.float32), fmt.elem)[0].item()
-
-
 @dataclass(frozen=True)
 class DenseMatrix:
     """Row-major 2-D operand. ``data`` holds format-rounded values
@@ -232,8 +227,11 @@ def _wrap_int32(x: np.ndarray) -> np.ndarray:
 def gemm_dense(a: DenseMatrix, b: DenseMatrix, fmt: NumericFormat | None = None) -> DenseMatrix:
     """Reference dense GEMM with the documented emulation semantics.
 
-    The result carries accumulator-format values in ``data`` (int32 for the
-    INT8/INT32 mode, float32 otherwise). Summation is ascending over k.
+    The every-column-kept case of the accumulate core that :func:`spmm
+    <sparse24.kernels.spmm>` also runs: step k adds column k of A times row k
+    of B, so summation is ascending over k. The result carries
+    accumulator-format values in ``data`` (int32 for the INT8/INT32 mode,
+    float32 otherwise).
     """
     if fmt is None:
         fmt = a.fmt
@@ -241,19 +239,37 @@ def gemm_dense(a: DenseMatrix, b: DenseMatrix, fmt: NumericFormat | None = None)
         raise FormatError(f"operand formats {a.fmt}/{b.fmt} do not match mode {fmt}")
     if a.cols != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols} vs {b.rows}")
+    # step k reads row k of B for every output row; views, so A is not copied
+    rows_t = np.broadcast_to(np.arange(a.cols)[:, None], (a.cols, a.rows))
+    return _accumulate(a.data.T, rows_t, b, fmt)
 
+
+def _accumulate(
+    vals_t: np.ndarray, rows_t: np.ndarray, b: DenseMatrix, fmt: NumericFormat
+) -> DenseMatrix:
+    """The accumulate loop of both GEMMs: out[r] = sum_j vals_t[j, r] * B[rows_t[j, r]].
+
+    Step j gathers, for every output row r, row ``rows_t[j, r]`` of B,
+    multiplies it by ``vals_t[j, r]`` and adds the product into the M x N
+    accumulator, so each output element sums its products in ascending j.
+    FP16-accumulate mode rounds every product to fp16 before adding it;
+    INT8/INT32 mode adds exactly in int64 and wraps to int32 once at the end.
+    A zero value still multiplies its row, so 0 * inf in B gives NaN.
+    """
     if fmt.is_integer:
-        res = a.data.astype(np.int64) @ b.data.astype(np.int64)
-        return DenseMatrix(_wrap_int32(res), fmt)
-
-    if fmt.acc is AccType.FP16:
-        acc = np.zeros((a.rows, b.cols), dtype=np.float16)
-        for k in range(a.cols):
-            prod = (a.data[:, k : k + 1] * b.data[k : k + 1, :]).astype(np.float16)
-            acc = acc + prod
-        return DenseMatrix(acc.astype(np.float32), fmt)
-
-    acc = np.zeros((a.rows, b.cols), dtype=np.float32)
-    for k in range(a.cols):
-        acc += a.data[:, k : k + 1] * b.data[k : k + 1, :]
-    return DenseMatrix(acc, fmt)
+        acc_dtype = np.int64
+        vals_t = vals_t.astype(np.int64)
+        bdat = b.data.astype(np.int64)
+    else:
+        acc_dtype = np.float16 if fmt.acc is AccType.FP16 else np.float32
+        bdat = b.data
+    out = np.zeros((rows_t.shape[1], b.cols), dtype=acc_dtype)
+    buf = np.empty(out.shape, dtype=bdat.dtype)
+    prod = np.empty_like(out) if acc_dtype is np.float16 else buf
+    for j in range(len(vals_t)):
+        np.take(bdat, rows_t[j], axis=0, out=buf)
+        np.multiply(vals_t[j][:, None], buf, out=buf)
+        if prod is not buf:
+            np.copyto(prod, buf, casting="same_kind")
+        np.add(out, prod, out=out)
+    return DenseMatrix(_wrap_int32(out) if fmt.is_integer else out.astype(np.float32), fmt)

@@ -3,9 +3,10 @@
 The kernel gathers rows of B through the positional metadata (one gathered row
 per kept value) and never materializes the decompressed operand; the
 instrumented multiply-add counter proves it touches exactly M*N*K*n/m terms.
-There is one fixed accumulation order: every output element adds its products
-in ascending original-column order of the kept values, so results are
-bit-stable in every mode.
+Every output element adds its products in ascending original-column order of
+the kept values, in the accumulate core that :func:`gemm_dense` also runs, so
+for finite operands the result is bit-exact against ``gemm_dense`` on the
+decompressed operand in every mode.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .formats import (
     NMPattern,
     NumericFormat,
     ShapeError,
-    _wrap_int32,
+    _accumulate,
     gemm_dense,
 )
 
@@ -58,8 +59,10 @@ def spmm(
     row of B that the row's j-th kept value selects, multiplies it by that value
     and adds the product (rounded to fp16 first in FP16-accumulate mode) into
     the M x N accumulator. Each output element thus sums its products in
-    ascending original-column order. Bit-exact against the dense reference in
-    INT8/INT32 mode; within the documented accumulator-ulp bound in float modes.
+    ascending original-column order. For finite operands the result is
+    bit-exact against :func:`gemm_dense` on the decompressed operand in every
+    mode; a pruned zero facing ±inf in B adds nothing here, where the dense
+    reference adds NaN.
     """
     if fmt is None:
         fmt = a.fmt
@@ -70,41 +73,19 @@ def spmm(
     shape = GemmShape(a.rows, b.cols, a.cols_orig)
     shape.check_sparse(fmt)
 
-    cols_t = np.ascontiguousarray(a.column_indices().T)  # (kept, M) B-row per kept value
-    if fmt.is_integer:
-        acc_dtype = np.int64
-        vals_t = np.ascontiguousarray(a.values.T, dtype=np.int64)
-        bdat = b.data.astype(np.int64)
-    else:
-        acc_dtype = np.float16 if fmt.acc is AccType.FP16 else np.float32
-        vals_t = np.ascontiguousarray(a.values.T)
-        bdat = b.data
-
-    out = np.zeros((shape.m, shape.n), dtype=acc_dtype)
-    buf = np.empty((shape.m, shape.n), dtype=bdat.dtype)
-    # FP16-accumulate mode rounds every product to fp16 before adding it.
-    prod = np.empty_like(out) if acc_dtype is np.float16 else buf
-    madds = 0
-    for j in range(a.cols_kept):
-        np.take(bdat, cols_t[j], axis=0, out=buf)
-        np.multiply(vals_t[j][:, None], buf, out=buf)
-        if prod is not buf:
-            np.copyto(prod, buf, casting="same_kind")
-        np.add(out, prod, out=out)
-        madds += out.size
+    # one contiguous row per kept slot j: its value and its row of B, per output row
+    rows_t = np.ascontiguousarray(a.column_indices().T)
+    vals_t = np.ascontiguousarray(a.values.T)
+    out = _accumulate(vals_t, rows_t, b, fmt)
     if counter is not None:
-        counter.add(madds)
-
-    if fmt.is_integer:
-        out = _wrap_int32(out)
-    else:
-        out = out.astype(np.float32)
-    return DenseMatrix(out, fmt)
+        counter.add(a.cols_kept * shape.m * shape.n)
+    return out
 
 
 def float_tolerance(oracle: DenseMatrix, k: int) -> float:
-    """Elementwise bound for float-mode equivalence checks: 2*K ulps of the
-    accumulator format at the result's peak magnitude."""
+    """Elementwise bound for float-mode checks that compare differently
+    ordered sums (a permuted network against the original, say): 2*K ulps
+    of the accumulator format at the result's peak magnitude."""
     peak = float(np.max(np.abs(oracle.data))) if oracle.data.size else 0.0
     if oracle.fmt.acc is AccType.FP16:
         ulp = float(np.spacing(np.float16(max(peak, 1e-3))))

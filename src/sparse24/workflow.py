@@ -211,14 +211,6 @@ def train(
     return net, history
 
 
-def retrain_sparse(
-    net: TinyNet, masks: dict[int, Mask], schedule: Schedule, data: "Dataset"
-) -> tuple[TinyNet, dict]:
-    """Step-3 retraining: identical schedule, fresh optimizer state, masks
-    enforced after every update."""
-    return train(net, data, schedule, masks=masks)
-
-
 # --- synthetic dataset ---
 
 
@@ -248,6 +240,9 @@ class PhaseKind(Enum):
     RETRAIN_SPARSE = "retrain_sparse"
     FINETUNE_SPARSE = "finetune_sparse"
     CALIBRATE = "calibrate"
+
+
+_TRAIN_KINDS = {PhaseKind.TRAIN_DENSE, PhaseKind.RETRAIN_SPARSE, PhaseKind.FINETUNE_SPARSE}
 
 
 @dataclass(frozen=True)
@@ -314,8 +309,9 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
     report: dict = {"phases": []}
     for phase in recipe.phases:
         entry: dict = {"name": phase.name, "kind": phase.kind.value}
-        if phase.kind is PhaseKind.TRAIN_DENSE:
-            net, hist = train(net, data, phase.schedule)
+        if phase.kind in _TRAIN_KINDS:
+            # masks stays empty until the prune phase, so dense phases train dense
+            net, hist = train(net, data, phase.schedule, masks=masks)
             entry["final_loss"] = hist["loss"][-1] if hist["loss"] else None
             entry["train_accuracy"] = net.accuracy(data.x, data.y)
         elif phase.kind is PhaseKind.PRUNE:
@@ -329,10 +325,6 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
                 lost += res.lost_magnitude
             entry["retained_magnitude"] = retained
             entry["lost_magnitude"] = lost
-            entry["train_accuracy"] = net.accuracy(data.x, data.y)
-        elif phase.kind in (PhaseKind.RETRAIN_SPARSE, PhaseKind.FINETUNE_SPARSE):
-            net, hist = train(net, data, phase.schedule, masks=masks)
-            entry["final_loss"] = hist["loss"][-1] if hist["loss"] else None
             entry["train_accuracy"] = net.accuracy(data.x, data.y)
         elif phase.kind is PhaseKind.CALIBRATE:
             scales = [
@@ -414,11 +406,7 @@ def parse_recipe(text: str) -> Recipe:
                         f"phase {name!r} overrides {k} of repeated phase {repeats!r}"
                     )
             schedule = base
-        elif kind in (
-            PhaseKind.TRAIN_DENSE,
-            PhaseKind.RETRAIN_SPARSE,
-            PhaseKind.FINETUNE_SPARSE,
-        ):
+        elif kind in _TRAIN_KINDS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")
             schedule = Schedule(**declared)

@@ -72,11 +72,8 @@ def test_criterion_3_spmm_equivalence(rng):
             counter = s.MultiplyAddCounter()
             got = s.spmm(sp, b, fmt, counter=counter)
             oracle = s.gemm_dense(a, b, fmt)
-            if fmt.is_integer:
-                assert np.array_equal(got.data, oracle.data)
-            else:
-                tol = s.float_tolerance(oracle, k)
-                assert np.max(np.abs(got.data - oracle.data)) <= tol
+            assert got.data.dtype == oracle.data.dtype
+            assert got.data.tobytes() == oracle.data.tobytes()
             assert counter.count == m * n * k * pattern.n // pattern.m
 
 
@@ -191,7 +188,7 @@ def test_criterion_7_workflow_demo(monkeypatch):
             return orig(self, x, y)
 
         monkeypatch.setattr(s.TinyNet, "loss_and_grads", checked)
-        sparse_net, _ = s.retrain_sparse(dense_net, masks, sched, data)
+        sparse_net, _ = s.train(dense_net, data, sched, masks=masks)
         monkeypatch.setattr(s.TinyNet, "loss_and_grads", orig)
 
         for i, mask in masks.items():

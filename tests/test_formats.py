@@ -5,6 +5,7 @@ import pytest
 
 import sparse24 as s
 from conftest import random_dense
+from sparse24.formats import ElemType, round_array
 
 
 def bf16_oracle(x: float) -> float:
@@ -20,36 +21,36 @@ def bf16_oracle(x: float) -> float:
 
 class TestRounding:
     def test_fp16_exact_value(self):
-        assert s.round_to_format(1.0, s.FP16) == 1.0
+        assert round_array([1.0], ElemType.FP16)[0] == 1.0
 
     def test_int8_saturation(self):
-        assert s.round_to_format(130.0, s.INT8) == 127
-        assert s.round_to_format(-200.0, s.INT8) == -128
+        assert round_array([130.0], ElemType.INT8)[0] == 127
+        assert round_array([-200.0], ElemType.INT8)[0] == -128
 
     def test_int8_round_half_even(self):
-        assert s.round_to_format(2.5, s.INT8) == 2
-        assert s.round_to_format(3.5, s.INT8) == 4
+        assert round_array([2.5], ElemType.INT8)[0] == 2
+        assert round_array([3.5], ElemType.INT8)[0] == 4
 
     def test_bf16_against_frexp_oracle(self, rng):
         for x in rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500):
             x = float(np.float32(x))  # rule out double-rounding asymmetry
-            got = s.round_to_format(x, s.BF16)
+            got = round_array([x], ElemType.BF16)[0]
             assert got == bf16_oracle(x), x
 
     def test_bf16_specific(self):
-        got = s.round_to_format(0.1, s.BF16)
+        got = round_array([0.1], ElemType.BF16)[0]
         assert got == bf16_oracle(0.1)
         assert got != 0.1  # 0.1 is not representable
 
     def test_tf32_truncates_low_mantissa_bits(self):
         x = np.float32(1.0) + np.float32(2.0**-20)
-        got = np.float32(s.round_to_format(float(x), s.TF32))
+        got = np.float32(round_array([float(x)], ElemType.TF32)[0])
         assert got == np.float32(1.0)
         assert int(got.view(np.uint32)) & 0x1FFF == 0
 
     def test_tf32_keeps_10_bit_mantissa(self):
         x = 1.0 + 2.0**-10
-        assert s.round_to_format(x, s.TF32) == x
+        assert round_array([x], ElemType.TF32)[0] == x
 
 
 class TestFormatPairs:
@@ -137,3 +138,30 @@ class TestGemmDense:
         )
         assert wide.data[0, 0] == 1.0 + 2.0**-13
         assert narrow.data[0, 0] == 1.0
+
+    @pytest.mark.parametrize("fmt", [s.FP32, s.TF32, s.FP16, s.BF16, s.FP16_FP16], ids=str)
+    def test_float_modes_bit_equal_to_scalar_triple_loop(self, rng, fmt):
+        # Independent oracle: one scalar accumulation per output element in
+        # ascending k; each product is formed in float32 (rounded to fp16 in
+        # FP16-accumulate mode) and added into an accumulator of the mode's
+        # type. Magnitudes span four decades so that summation order and
+        # product rounding both show in the low bits.
+        acc_type = np.float16 if fmt.acc is s.AccType.FP16 else np.float32
+        for m, n, k in [(1, 1, 1), (3, 5, 7), (4, 6, 33), (2, 3, 64)]:
+            a, b = (
+                s.DenseMatrix.from_values(
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 2, shape), fmt
+                )
+                for shape in [(m, k), (k, n)]
+            )
+            expect = np.zeros((m, n), dtype=np.float32)
+            for i in range(m):
+                for j in range(n):
+                    acc = acc_type(0)
+                    for kk in range(k):
+                        prod = np.float32(a.data[i, kk]) * np.float32(b.data[kk, j])
+                        acc = acc_type(acc + acc_type(prod))
+                    expect[i, j] = np.float32(acc)
+            got = s.gemm_dense(a, b, fmt).data
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (m, n, k)

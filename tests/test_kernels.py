@@ -31,13 +31,48 @@ class TestSpmm:
         a, sp, b = make_case(rng, 32, 16, 64, s.INT8)
         assert np.array_equal(s.spmm(sp, b).data, s.gemm_dense(a, b).data)
 
-    def test_float_modes_within_ulp_bound(self, rng):
+    def test_float_modes_bit_equal_to_dense_oracle(self, rng):
         for fmt in (s.FP16, s.BF16, s.TF32, s.FP16_FP16):
             a, sp, b = make_case(rng, 16, 8, 32, fmt)
             oracle = s.gemm_dense(a, b, fmt)
             got = s.spmm(sp, b, fmt)
-            tol = s.float_tolerance(oracle, 32)
-            assert np.max(np.abs(got.data - oracle.data)) <= tol, fmt
+            assert got.data.dtype == oracle.data.dtype, fmt
+            assert got.data.tobytes() == oracle.data.tobytes(), fmt
+
+    @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.TF32, s.FP16_FP16], ids=str)
+    def test_signed_zeros_bit_equal_to_dense_oracle(self, rng, fmt):
+        # Rows 0 and 1 keep only zeros (all -0.0; alternating +0.0/-0.0), row
+        # 2 keeps some -0.0, and two columns of B hold -0.0. Both kernels sum
+        # from +0.0, so a row of zero products gives +0.0.
+        values = rng.standard_normal((4, 8)).astype(np.float32)
+        values[0] = -0.0
+        values[1] = np.where(np.arange(8) % 2, np.float32(-0.0), np.float32(0.0))
+        values[2, ::3] = -0.0
+        meta = np.tile(np.array([0, 2], dtype=np.uint8), (4, 4))
+        sp = s.SparseNM(16, s.PATTERN_24, s.DenseMatrix.from_values(values, fmt).data, meta, fmt)
+        bvals = rng.standard_normal((16, 5)).astype(np.float32)
+        bvals[:, 0] = -0.0
+        bvals[::2, 1] = -0.0
+        b = s.DenseMatrix.from_values(bvals, fmt)
+        got = s.spmm(sp, b, fmt).data
+        oracle = s.gemm_dense(s.decompress(sp), b, fmt).data
+        assert np.signbit(s.decompress(sp).data).any()
+        assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
+        assert not np.signbit(got[:2]).any()
+
+    def test_inf_facing_pruned_zero_is_nan_only_in_dense_oracle(self):
+        # Bit equality holds for finite operands only: the dense reference
+        # multiplies every column, so 0 * inf adds NaN where spmm skips the
+        # pruned zero.
+        meta = np.tile(np.array([0, 1], dtype=np.uint8), (1, 4))  # keep columns 0, 1 of each group
+        sp = s.SparseNM(16, s.PATTERN_24, np.ones((1, 8), dtype=np.float32), meta, s.FP16)
+        bvals = np.ones((16, 1), dtype=np.float32)
+        bvals[2, 0] = np.inf  # faces the pruned column 2 of the first group
+        b = s.DenseMatrix.from_values(bvals, s.FP16)
+        with np.errstate(invalid="ignore"):
+            dense = s.gemm_dense(s.decompress(sp), b).data
+        assert np.isnan(dense[0, 0])
+        assert s.spmm(sp, b).data[0, 0] == 8.0
 
     @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.TF32, s.FP16_FP16], ids=str)
     @pytest.mark.parametrize("pattern", [s.PATTERN_24, s.PATTERN_12], ids=str)

@@ -121,7 +121,7 @@ class TestMaskedRetraining:
         sched = s.Schedule(epochs=4, lr=0.05, seed=2)
         masks = {i: s.Mask(np.ones_like(w, dtype=bool)) for i, w in enumerate(net.weights)}
         plain, _ = s.train(net, blobs, sched)
-        masked, _ = s.retrain_sparse(net, masks, sched, blobs)
+        masked, _ = s.train(net, blobs, sched, masks=masks)
         for wa, wb in zip(plain.weights, masked.weights):
             assert np.array_equal(wa, wb)
 
@@ -131,7 +131,7 @@ class TestMaskedRetraining:
             i: s.prune_magnitude(s.DenseMatrix(w.astype(np.float32), s.FP32), s.PATTERN_24).mask
             for i, w in enumerate(net.weights)
         }
-        out, _ = s.retrain_sparse(net, masks, sched, blobs)
+        out, _ = s.train(net, blobs, sched, masks=masks)
         for i, mask in masks.items():
             assert np.all(out.weights[i][~mask.bits] == 0.0)
 
