@@ -28,12 +28,12 @@ class Granularity(Enum):
 @dataclass(frozen=True)
 class ScaleSet:
     granularity: Granularity
-    scales: np.ndarray  # positive float64, length 1 / channels / rows
+    scales: np.ndarray  # finite positive float64, length 1 / channels / rows
 
     def __post_init__(self):
         s = np.asarray(self.scales, dtype=np.float64)
-        if s.ndim != 1 or not np.all(s > 0):
-            raise ValueError("scales must be a 1-D positive array")
+        if s.ndim != 1 or not np.all((s > 0) & (s < np.inf)):
+            raise ValueError("scales must be a 1-D array of finite positive values")
         s.setflags(write=False)
         object.__setattr__(self, "scales", s)
 
@@ -66,6 +66,7 @@ class CalibMethod:
 
 HIST_BINS = 2048
 QUANT_BINS = 128  # positive INT8 levels used when merging candidate clips
+_ROW_BLOCK = 4  # histograms entropy_threshold scores together; ~0.35 MB of scratch each
 
 
 def calibrate(
@@ -75,11 +76,20 @@ def calibrate(
 ) -> ScaleSet:
     """Choose quantization scales from a stream of sample tensors.
 
+    A slice is the whole stream (per tensor) or one row of every sample, in
+    sample order (per channel or row). Every slice is scored in one pass:
+    max and percentile reduce along the slice axis, and entropy histograms
+    each slice and scores the histograms a block at a time with
+    :func:`entropy_threshold`, whose chunk table shares each KL term among
+    all candidate clips. A slice gets the scale it would get on its own.
+
     max: amax/127 per slice. percentile(p): p-th percentile of |x| per slice,
-    over 127. entropy: clip threshold minimizing KL divergence between the
-    clipped distribution and its 128-level quantization (2048-bin histogram
-    of |x|), over 127. All-zero slices get scale 1.0. Raises
-    :class:`NonFiniteError` if any sample holds NaN or ±inf.
+    over 127; a slice whose percentile is 0 but whose max is not (mostly
+    zeros) falls back to amax/127, so no scale is 0. entropy: clip threshold
+    minimizing KL divergence between the clipped distribution and its
+    128-level quantization (2048-bin histogram of |x|), over 127. All-zero
+    slices get scale 1.0. Raises :class:`NonFiniteError` if any sample holds
+    NaN or ±inf.
     """
     mats = list(samples)
     if not mats:
@@ -87,85 +97,123 @@ def calibrate(
     for m in mats:
         require_finite(m.data, "calibration samples")
     if granularity is Granularity.PER_TENSOR:
-        slices = [np.concatenate([np.abs(m.data).ravel().astype(np.float64) for m in mats])]
+        absvals = np.concatenate([np.abs(m.data).ravel().astype(np.float64) for m in mats])[None]
     else:
         rows = mats[0].rows
         for m in mats:
             if m.rows != rows:
                 raise ShapeError("per-row calibration needs identically shaped samples")
-        slices = np.concatenate([np.abs(m.data).astype(np.float64) for m in mats], axis=1)
-    scales = np.array([_slice_scale(s, method) for s in slices])
-    return ScaleSet(granularity, scales)
-
-
-def _slice_scale(absvals: np.ndarray, method: CalibMethod) -> float:
-    amax = float(absvals.max()) if absvals.size else 0.0
-    if amax == 0.0:
-        return 1.0
+        absvals = np.concatenate([np.abs(m.data).astype(np.float64) for m in mats], axis=1)
+    amax = absvals.max(axis=1, initial=0.0)
     if method.tag == "max":
-        return amax / 127.0
-    if method.tag == "percentile":
-        return float(np.percentile(absvals, method.percentile)) / 127.0
-    hist, _ = np.histogram(absvals, bins=HIST_BINS, range=(0.0, amax))
-    threshold = entropy_threshold(hist) * amax / HIST_BINS
-    return threshold / 127.0
+        clip = amax
+    elif method.tag == "percentile":
+        clip = np.percentile(absvals, method.percentile, axis=1) if absvals.size else amax
+        clip = np.where(clip > 0, clip, amax)
+    else:
+        live = np.flatnonzero(amax)
+        bins = np.zeros(len(amax), dtype=np.int64)
+        for lo in range(0, len(live), _ROW_BLOCK):
+            block = live[lo : lo + _ROW_BLOCK]
+            hists = [np.histogram(absvals[r], bins=HIST_BINS, range=(0.0, amax[r]))[0] for r in block]
+            bins[block] = entropy_threshold(np.stack(hists))
+        clip = bins * amax / HIST_BINS
+    return ScaleSet(granularity, np.where(amax > 0, clip / 127.0, 1.0))
 
 
-def entropy_threshold(hist: np.ndarray) -> int:
+def entropy_threshold(hist: np.ndarray) -> int | np.ndarray:
     """Pick the clip point (in bins) minimizing KL(P || Q).
 
-    For each candidate i in [QUANT_BINS, len(hist)], P is hist[:i] with the
+    ``hist`` is one histogram, giving an int, or a 2-D array with one
+    histogram per row, giving one clip point per row. Rows are scored
+    ``_ROW_BLOCK`` at a time, so memory does not grow with their number, and
+    a row gets the answer it would get on its own.
+
+    For each candidate i in [QUANT_BINS, nbins], P is hist[:i] with the
     clipped tail folded into the last bin; Q merges P into QUANT_BINS levels
     and redistributes each merged count uniformly over its nonzero source
     bins. Candidates with no mass are skipped, and ties take the smallest i;
-    with no candidate left the answer is len(hist).
+    with no candidate left the answer is nbins.
+
+    Chunk table: KL(P||Q) = (1/T) * [sum p*log p - sum_chunks S*log(S/nnz)],
+    as Q is S/nnz over each chunk's nonzero bins. Candidates with one
+    base = i // QUANT_BINS use two chunk widths: the first e = i % QUANT_BINS
+    chunks hold base + 1 bins and start at k*(base + 1), the rest hold base
+    bins and start at k*base + e. So each chunk term is computed once per
+    width and start, and a base's (candidates x chunks) block is copied from
+    the two tables, the base-wide one through a zero-copy strided view. Only
+    the last chunk, which holds the clipped tail, is computed per candidate.
+    Each block row is reduced by one contiguous sum, as a per-candidate loop
+    reduces its chunks, so every KL value is the loop's to the bit.
 
     Known defect: at i = QUANT_BINS every level merges one bin, so Q equals
     P and KL is 0. The search therefore returns QUANT_BINS (amax/16 for a
     2048-bin histogram) on any histogram, up to rounding noise.
     """
     hist = np.asarray(hist, dtype=np.float64)
-    nbins = len(hist)
-    if nbins < QUANT_BINS:
-        return nbins
-    total = hist.sum()
-    cum = np.concatenate([[0.0], np.cumsum(hist)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(hist > 0, hist * np.log(hist), 0.0)
-    cum_plogp = np.concatenate([[0.0], np.cumsum(plogp)])
-    cum_nz = np.concatenate([[0], np.cumsum(hist > 0)])
+    rows = np.atleast_2d(hist)
+    best = np.full(len(rows), rows.shape[1])
+    if rows.shape[1] >= QUANT_BINS:
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            best[lo : lo + _ROW_BLOCK] = _entropy_block(rows[lo : lo + _ROW_BLOCK])
+    return int(best[0]) if hist.ndim == 1 else best
 
-    # KL(P||Q) reduces to (1/T) * [sum p*log p  -  sum_chunks S*log(S/nnz)]
-    # because Q is piecewise constant (S/nnz) over each chunk's nonzero bins
-    # and both distributions share the normalizer T.
-    cand = np.arange(QUANT_BINS, nbins + 1)
-    tail = total - cum[cand]
-    last = hist[cand - 1] + tail
-    T = cum[cand - 1] + last
-    merged_sum = np.empty(len(cand))
-    k = np.arange(QUANT_BINS + 1)
+
+def _entropy_block(hist: np.ndarray) -> np.ndarray:
+    """entropy_threshold of each row of a (rows, nbins >= QUANT_BINS) block."""
+    rows, nbins = hist.shape
+    total = hist.sum(axis=1, keepdims=True)
+    cum = _prefix_sums(hist, np.float64)
+    cum_nz = _prefix_sums(hist > 0, np.int64)
+    k = np.arange(QUANT_BINS - 1)  # every chunk but the last
+
+    def spans(first, count, width, step=1):
+        """Mass and nonzero bins of the chunks of ``width`` bins at first, first + step, ..."""
+        lo = slice(first, first + count * step, step)
+        hi = slice(first + width, first + width + count * step, step)
+        return cum[:, hi] - cum[:, lo], (cum_nz[:, hi] - cum_nz[:, lo]).astype(np.float64)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        sum_plogp = cum_plogp[cand - 1] + np.where(last > 0, last * np.log(last), 0.0)
-        # Candidates i with one base = i // QUANT_BINS share a chunk layout:
-        # the first extra = i % QUANT_BINS chunks hold base + 1 bins. One
-        # (candidates x chunks) pass per base keeps the block small.
+        cum_plogp = _prefix_sums(np.where(hist > 0, hist * np.log(hist), 0.0), np.float64)
+        kl = np.empty((rows, nbins + 1 - QUANT_BINS))  # column c: candidate i = QUANT_BINS + c
         for base in range(1, nbins // QUANT_BINS + 1):
-            rows = slice((base - 1) * QUANT_BINS, base * QUANT_BINS)
-            extra = cand[rows, None] - base * QUANT_BINS
-            starts = k * base + np.minimum(k, extra)  # chunk boundaries
-            chunk_sum = np.diff(cum[starts], axis=1)
-            chunk_nz = np.diff(cum_nz[starts], axis=1).astype(np.float64)
-            # fold the clipped tail into the last bin of the last chunk
-            chunk_sum[:, -1] += tail[rows]
-            chunk_nz[:, -1] += (last[rows] > 0) & (hist[cand[rows] - 1] == 0)
-            merged = np.where(
-                chunk_sum > 0, chunk_sum * np.log(chunk_sum / np.maximum(chunk_nz, 1)), 0.0
+            i0 = base * QUANT_BINS  # candidates i = i0 + e, for e < n
+            n = min(QUANT_BINS, nbins + 1 - i0)
+            e = np.arange(n)
+            before = slice(i0 - 1, i0 - 1 + n)  # bin i - 1, the last bin P keeps
+            tail = total - cum[:, i0 : i0 + n]
+            last = hist[:, before] + tail
+            T = cum[:, before] + last
+            sum_plogp = cum_plogp[:, before] + np.where(last > 0, last * np.log(last), 0.0)
+            narrow = _merged(*spans(0, k[-1] * base + n, base))  # every start a row reads
+            block = np.empty((rows, n, QUANT_BINS))
+            block[:, :, :-1] = np.lib.stride_tricks.as_strided(
+                narrow, (rows, n, len(k)), (narrow.strides[0], narrow.strides[1], base * narrow.strides[1])
             )
-            merged_sum[rows] = merged.sum(axis=1)
-        kl = (sum_plogp - merged_sum) / T
-    kl[(T == 0) | np.isnan(kl)] = np.inf
-    best = np.argmin(kl)
-    return int(cand[best]) if kl[best] < np.inf else nbins
+            wide = _merged(*spans(0, n - 1, base + 1, base + 1))  # chunk k < e <= n - 1
+            np.copyto(block[:, :, : n - 1], wide[:, None, :], where=k[: n - 1] < e[:, None])
+            # the last chunk is base bins wide and ends at i; the tail folds into it
+            mass, nonzero = spans(i0 - base, n, base)
+            gains_bin = (last > 0) & (hist[:, before] == 0)
+            block[:, :, -1] = _merged(mass + tail, nonzero + gains_bin)
+            kl_base = kl[:, i0 - QUANT_BINS : i0 - QUANT_BINS + n]
+            kl_base[...] = (sum_plogp - block.sum(axis=-1)) / T
+            kl_base[T == 0] = np.inf
+    kl[np.isnan(kl)] = np.inf
+    best = np.argmin(kl, axis=1)
+    return np.where(kl[np.arange(rows), best] < np.inf, QUANT_BINS + best, nbins)
+
+
+def _merged(s: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """Chunk term S*log(S/nnz) of KL(P||Q), 0 for an empty chunk."""
+    return np.where(s > 0, s * np.log(s / np.maximum(nz, 1)), 0.0)
+
+
+def _prefix_sums(a: np.ndarray, dtype) -> np.ndarray:
+    """Row-wise cumulative sums with a leading zero column."""
+    out = np.zeros((len(a), a.shape[1] + 1), dtype=dtype)
+    np.cumsum(a, axis=1, dtype=dtype, out=out[:, 1:])
+    return out
 
 
 def quantize(x: DenseMatrix, scale: ScaleSet) -> DenseMatrix:

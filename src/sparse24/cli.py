@@ -186,8 +186,8 @@ def cmd_calibrate(src, dst, method, granularity):
         ar.write_archive(ar.TensorArchive().add("scales", scales), dst)
     except DATA_ERRORS as exc:
         _fail(exc)
-    for s in scales.scales:
-        click.echo(f"{s!r}")
+    for s in scales.scales.tolist():
+        click.echo(repr(s))
 
 
 @main.command("bench")

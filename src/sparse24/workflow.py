@@ -176,7 +176,9 @@ def train(
 
     With ``masks``, masked weights are re-zeroed after every optimizer step so
     the sparsity pattern survives momentum and weight decay. Returns the
-    trained net and per-epoch metrics.
+    trained net and ``{"loss": [mean batch loss per epoch]}``. Accuracy is
+    left to the caller: it reads the weights without changing them, so
+    measuring it here would cost a forward pass per epoch for nothing.
     """
     net = net.clone()
     if masks:
@@ -185,7 +187,7 @@ def train(
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     rng = np.random.default_rng(schedule.seed)
-    history = {"loss": [], "train_accuracy": []}
+    history = {"loss": []}
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
         order = rng.permutation(len(data.x))
@@ -207,7 +209,6 @@ def train(
                 if masks and i in masks:
                     net.weights[i] *= masks[i].bits
         history["loss"].append(epoch_loss / max(batches, 1))
-        history["train_accuracy"].append(net.accuracy(data.x, data.y))
     return net, history
 
 

@@ -168,6 +168,17 @@ class TestErrors:
         with pytest.raises(s.InvariantError):
             s.read_archive(path)
 
+    @pytest.mark.parametrize("bad", [np.inf, 0.0, np.nan], ids=["inf", "zero", "nan"])
+    def test_invariant_violation_bad_scale(self, tmp_path, bad):
+        path = tmp_path / "scales.s24t"
+        scales = s.ScaleSet(s.Granularity.PER_ROW, np.array([0.25, 0.5]))
+        s.write_archive(s.TensorArchive().add("s", scales), path)
+        raw = path.read_bytes()
+        assert raw.count(struct.pack("<d", 0.5)) == 1
+        path.write_bytes(raw.replace(struct.pack("<d", 0.5), struct.pack("<d", bad)))
+        with pytest.raises(s.InvariantError):
+            s.read_archive(path)
+
     def test_nonzero_meta_padding_rejected(self, tmp_path, rng):
         # one row of 2:4 over 4 columns: two 2-bit fields, then 4 padding bits
         sp = s.compress(random_conforming(rng, 1, 4, s.FP16), s.PATTERN_24)

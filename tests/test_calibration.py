@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse24 as s
 from sparse24.calibration import HIST_BINS, QUANT_BINS, entropy_threshold
@@ -157,6 +160,62 @@ class TestCalibratePerRow:
         ]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("method", ["max", "percentile=99.9", "entropy"])
+    def test_many_rows_match_per_slice_calls(self, rng, method):
+        # 37 rows span several entropy scoring blocks; all-zero rows sit
+        # between live ones, so a block's rows are not consecutive
+        values = [rng.standard_normal((37, cols)).astype(np.float32) for cols in (40, 24)]
+        for v in values:
+            v[[0, 9, 10, 17, 36]] = 0.0
+        mats = [s.DenseMatrix.from_values(v, s.FP32) for v in values]
+        calib = s.CalibMethod.parse(method)
+        got = s.calibrate(mats, calib, s.Granularity.PER_ROW).scales
+        assert got.tolist() == per_slice_scales(mats, calib)
+
+    def test_per_row_entropy_memory_does_not_grow_with_rows(self, rng):
+        m = s.DenseMatrix.from_values(rng.standard_normal((256, 512)), s.FP32)
+        tracemalloc.start()
+        try:
+            s.calibrate([m], s.CalibMethod("entropy"), s.Granularity.PER_ROW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
+def per_slice_scales(mats, calib):
+    """Per-row scales the slow way: one per-tensor calibration per row."""
+    rows = mats[0].rows
+    return [
+        s.calibrate([s.DenseMatrix(m.data[r : r + 1], m.fmt) for m in mats], calib).scales[0]
+        for r in range(rows)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_row_scales_equal_per_slice_scales(data):
+    # Values come from a few levels per example, so rows hold ties, zeros
+    # and whole zero rows; the levels span six decades within one example.
+    rows = data.draw(st.integers(1, 20), label="rows")
+    widths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3), label="widths")
+    levels = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e3, allow_nan=False)), min_size=1, max_size=6
+        ),
+        label="levels",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mats = []
+    for cols in widths:
+        v = np.array(levels)[rng.integers(0, len(levels), (rows, cols))] * rng.choice([-1, 1], (rows, cols))
+        mats.append(s.DenseMatrix.from_values(v, s.FP32))
+    method = data.draw(st.sampled_from(["max", "percentile=50", "percentile=99.9", "entropy"]))
+    calib = s.CalibMethod.parse(method)
+    got = s.calibrate(mats, calib, s.Granularity.PER_ROW).scales
+    assert got.tolist() == per_slice_scales(mats, calib)
+    assert np.all(got > 0) and np.all(np.isfinite(got))
+
 
 class TestCalibratePercentile:
     def test_percentile_100_equals_max(self, rng):
@@ -176,6 +235,18 @@ class TestCalibratePercentile:
             s.CalibMethod("percentile", 0.0)
         with pytest.raises(ValueError):
             s.CalibMethod("percentile", 101.0)
+
+    @pytest.mark.parametrize(
+        "values, percentile",
+        [([0, 0, 0, 0, 0, 3], 50.0), ([0] * 2047 + [3], 99.9)],
+        ids=["median", "one-in-2048"],
+    )
+    def test_zero_percentile_falls_back_to_max(self, values, percentile):
+        x = s.DenseMatrix.from_values([values], s.FP32)
+        calib = s.CalibMethod("percentile", percentile)
+        assert s.calibrate([x], calib).scales.tolist() == [3 / 127.0]
+        rows = s.DenseMatrix.from_values([values, np.ones(len(values))], s.FP32)
+        assert s.calibrate([rows], calib, s.Granularity.PER_ROW).scales.tolist() == [3 / 127.0, 1 / 127.0]
 
     def test_parse(self):
         m = s.CalibMethod.parse("percentile=99.9")
@@ -217,6 +288,12 @@ class TestEntropyMatchesLoop:
         # are the cases a reordered sum would change, so the set needs some.
         assert any(f == "half_gaussian" and w != QUANT_BINS for (f, _), w in zip(cases, wanted))
 
+    def test_one_2d_call_matches_per_row_calls(self):
+        hists = [hist for _, hist in oracle_histograms() if len(hist) == HIST_BINS]
+        assert len(hists) > 150
+        got = entropy_threshold(np.stack(hists))
+        assert got.tolist() == [entropy_threshold(hist) for hist in hists]
+
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: at i = QUANT_BINS, Q equals P, so KL is 0 and the search "
@@ -227,6 +304,13 @@ class TestEntropyMatchesLoop:
         # the bar for a real clip point is twice that.
         hist = 1e4 * np.exp(-0.5 * (np.arange(HIST_BINS) / 600.0) ** 2)
         assert entropy_threshold(hist) > 2 * QUANT_BINS
+
+
+class TestScaleSet:
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_rejects_non_positive_or_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            s.ScaleSet(s.Granularity.PER_ROW, np.array([0.5, bad]))
 
 
 class TestQuantize:

@@ -151,6 +151,15 @@ class TestCalibrateCommand:
         )
         assert result.exit_code == 0
 
+    def test_zero_percentile_falls_back_to_max(self, runner, tmp_path):
+        src = tmp_path / "w.s24t"
+        write_dense(src, s.DenseMatrix.from_values([[0, 0, 0, 0, 0, 3]], s.FP32))
+        result = runner.invoke(
+            main, ["calibrate", str(src), str(tmp_path / "s.s24t"), "--method", "percentile=50"]
+        )
+        assert result.exit_code == 0, result.output
+        assert float(result.stdout) == 3 / 127.0
+
 
 class TestBenchCommand:
     def test_csv_header_exact(self, runner):

@@ -83,6 +83,7 @@ class TestTrainer:
     def test_loss_decreases_in_aggregate(self, net, blobs):
         _, hist = s.train(net, blobs, s.Schedule(epochs=8, lr=0.05))
         assert hist["loss"][-1] < hist["loss"][0]
+        assert list(hist) == ["loss"] and len(hist["loss"]) == 8
 
     def test_reaches_95_percent_on_blobs(self):
         data = s.make_blobs(samples=512, features=64, classes=4, seed=3)
