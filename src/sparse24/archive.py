@@ -51,12 +51,12 @@ KIND_DENSE, KIND_SPARSE, KIND_SCALES, KIND_MASK = range(4)
 # scale sets; (rows, cols) for masks.
 _HEADERS = {KIND_DENSE: "<BBII", KIND_SPARSE: "<BBIIBB", KIND_SCALES: "<BI", KIND_MASK: "<II"}
 
-_ELEM_CODES = {ElemType.FP32: 0, ElemType.TF32: 1, ElemType.FP16: 2, ElemType.BF16: 3, ElemType.INT8: 4}
-_ACC_CODES = {AccType.FP32: 0, AccType.FP16: 1, AccType.INT32: 2}
-_GRAN_CODES = {Granularity.PER_TENSOR: 0, Granularity.PER_CHANNEL: 1, Granularity.PER_ROW: 2}
-_ELEM_BY_CODE = {v: k for k, v in _ELEM_CODES.items()}
-_ACC_BY_CODE = {v: k for k, v in _ACC_CODES.items()}
-_GRAN_BY_CODE = {v: k for k, v in _GRAN_CODES.items()}
+# A member's code is its index here, as numbered in the layout above.
+_CODES = {
+    "elem": (ElemType.FP32, ElemType.TF32, ElemType.FP16, ElemType.BF16, ElemType.INT8),
+    "acc": (AccType.FP32, AccType.FP16, AccType.INT32),
+    "granularity": (Granularity.PER_TENSOR, Granularity.PER_CHANNEL, Granularity.PER_ROW),
+}
 
 
 class ArchiveError(ValueError):
@@ -156,23 +156,64 @@ def unpack_bit_fields(raw: bytes, n_rows: int, per_row: int, bits_per_field: int
     return out
 
 
+def _format_codes(fmt: NumericFormat) -> tuple[int, int]:
+    return _CODES["elem"].index(fmt.elem), _CODES["acc"].index(fmt.acc)
+
+
+def _by_code(what: str, code: int):
+    if code >= len(_CODES[what]):
+        raise InvariantError(f"unknown {what} code {code}")
+    return _CODES[what][code]
+
+
 def _encode_entry(entry: Entry) -> tuple[int, tuple, bytes]:
     """The kind, the header fields laid out by ``_HEADERS[kind]`` and the
     payload of one entry."""
     if isinstance(entry, DenseMatrix):
-        fields = (_ELEM_CODES[entry.fmt.elem], _ACC_CODES[entry.fmt.acc], entry.rows, entry.cols)
+        fields = (*_format_codes(entry.fmt), entry.rows, entry.cols)
         return KIND_DENSE, fields, _encode_values(entry.data, entry.fmt.elem)
     if isinstance(entry, SparseNM):
-        p, codes = entry.pattern, (_ELEM_CODES[entry.fmt.elem], _ACC_CODES[entry.fmt.acc])
+        p = entry.pattern
         values = _encode_values(entry.values, entry.fmt.elem)
         meta = pack_bit_fields(entry.meta, p.meta_bits)
-        return KIND_SPARSE, (*codes, entry.rows, entry.cols_orig, p.n, p.m), values + meta
+        fields = (*_format_codes(entry.fmt), entry.rows, entry.cols_orig, p.n, p.m)
+        return KIND_SPARSE, fields, values + meta
     if isinstance(entry, ScaleSet):
-        fields = (_GRAN_CODES[entry.granularity], len(entry.scales))
+        fields = (_CODES["granularity"].index(entry.granularity), len(entry.scales))
         return KIND_SCALES, fields, np.ascontiguousarray(entry.scales, dtype="<f8").tobytes()
     if isinstance(entry, Mask):
         return KIND_MASK, (entry.rows, entry.cols), pack_bit_fields(entry.bits, 1)
     raise InvariantError(f"unsupported entry type {type(entry).__name__}")
+
+
+def _decode_entry(kind: int, head: tuple, payload: bytes) -> Entry:
+    """Inverse of ``_encode_entry``. Checks that belong to an entry's own
+    constructor (format pair, pattern, shape, metadata, scales) raise their
+    ValueError, which ``read_archive`` reports as InvariantError."""
+    if kind == KIND_DENSE:
+        elem_c, acc_c, rows, cols = head
+        fmt = NumericFormat(_by_code("elem", elem_c), _by_code("acc", acc_c))
+        return DenseMatrix(_decode_values(payload, fmt.elem, (rows, cols)), fmt)
+    if kind == KIND_SPARSE:
+        elem_c, acc_c, rows, cols, n, m = head
+        fmt = NumericFormat(_by_code("elem", elem_c), _by_code("acc", acc_c))
+        pattern = NMPattern(n, m)
+        pattern.check_divides(cols)
+        kept = cols * n // m
+        vbytes = rows * kept * _elem_dtype(fmt.elem).itemsize
+        values = _decode_values(payload[:vbytes], fmt.elem, (rows, kept))
+        meta = unpack_bit_fields(payload[vbytes:], rows, kept, pattern.meta_bits)
+        entry = SparseNM(cols, pattern, values, meta, fmt)
+        entry.validate()
+        return entry
+    if kind == KIND_SCALES:
+        gran_c, n_scales = head
+        granularity = _by_code("granularity", gran_c)
+        if len(payload) != 8 * n_scales:
+            raise TruncatedError(f"{len(payload)}-byte scale payload, header says {n_scales} scales")
+        return ScaleSet(granularity, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    rows, cols = head  # KIND_MASK
+    return Mask(unpack_bit_fields(payload, rows, cols, 1).astype(bool))
 
 
 def write_archive(archive: TensorArchive, path) -> None:
@@ -237,63 +278,14 @@ def read_archive(path) -> TensorArchive:
         if kind not in _HEADERS:
             raise InvariantError(f"unknown entry kind {kind}")
         head = r.unpack(_HEADERS[kind])
-        if kind == KIND_DENSE:
-            elem_c, acc_c, rows, cols = head
-            fmt = _lookup_format(elem_c, acc_c)
-            (plen,) = r.unpack("<Q")
-            data = _decode_values(r.take(plen), fmt.elem, (rows, cols))
-            archive.add(name, DenseMatrix(data, fmt))
-        elif kind == KIND_SPARSE:
-            elem_c, acc_c, rows, cols, n, m = head
-            fmt = _lookup_format(elem_c, acc_c)
-            try:
-                pattern = NMPattern(n, m)
-            except ValueError as exc:
-                raise InvariantError(str(exc)) from exc
-            if cols % m:
-                raise InvariantError(f"group size {m} does not divide {cols} columns")
-            kept = cols * n // m
-            (plen,) = r.unpack("<Q")
-            payload = r.take(plen)
-            vbytes = rows * kept * _elem_dtype(fmt.elem).itemsize
-            if plen < vbytes:
-                raise TruncatedError("sparse payload shorter than its value block")
-            values = _decode_values(payload[:vbytes], fmt.elem, (rows, kept))
-            meta = unpack_bit_fields(payload[vbytes:], rows, kept, pattern.meta_bits)
-            entry = SparseNM(cols, pattern, values, meta, fmt)
-            try:
-                entry.validate()
-            except ValueError as exc:
-                raise InvariantError(str(exc)) from exc
-            archive.add(name, entry)
-        elif kind == KIND_SCALES:
-            gran_c, n_scales = head
-            if gran_c not in _GRAN_BY_CODE:
-                raise InvariantError(f"unknown granularity code {gran_c}")
-            (plen,) = r.unpack("<Q")
-            if plen % 8:
-                raise TruncatedError(f"scale payload of {plen} bytes is not whole float64s")
-            scales = np.frombuffer(r.take(plen), dtype="<f8")
-            if len(scales) != n_scales:
-                raise TruncatedError(f"{len(scales)} scales in payload, header says {n_scales}")
-            try:
-                archive.add(name, ScaleSet(_GRAN_BY_CODE[gran_c], scales.astype(np.float64)))
-            except ValueError as exc:
-                raise InvariantError(str(exc)) from exc
-        else:  # KIND_MASK
-            rows, cols = head
-            (plen,) = r.unpack("<Q")
-            bits = unpack_bit_fields(r.take(plen), rows, cols, 1)
-            archive.add(name, Mask(bits.astype(bool)))
+        (payload_len,) = r.unpack("<Q")
+        payload = r.take(payload_len)
+        try:
+            archive.add(name, _decode_entry(kind, head, payload))
+        except ArchiveError:
+            raise
+        except ValueError as exc:
+            raise InvariantError(str(exc)) from exc
     if r.pos != len(raw):
         raise InvariantError(f"{len(raw) - r.pos} trailing bytes after the last entry")
     return archive
-
-
-def _lookup_format(elem_c: int, acc_c: int) -> NumericFormat:
-    if elem_c not in _ELEM_BY_CODE or acc_c not in _ACC_BY_CODE:
-        raise InvariantError(f"unknown format codes elem={elem_c} acc={acc_c}")
-    try:
-        return NumericFormat(_ELEM_BY_CODE[elem_c], _ACC_BY_CODE[acc_c])
-    except ValueError as exc:
-        raise InvariantError(str(exc)) from exc

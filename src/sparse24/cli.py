@@ -21,14 +21,15 @@ from .pruning import (
     permute_columns,
     prune_magnitude,
 )
-from .workflow import TinyNet, make_blobs, parse_recipe, run_recipe
+from .workflow import DivergenceError, TinyNet, make_blobs, parse_recipe, run_recipe
 
 _FORMATS = {str(f): f for f in ALL_FORMATS}
 _FORMATS.update({f.elem.value: f for f in ALL_FORMATS if f.acc.value != "fp16"})
 
 # ValueError covers the library's data errors: archive, conformance, format,
-# shape, recipe and non-finite errors all derive from it.
-DATA_ERRORS = (KeyError, ValueError, OSError)
+# shape, recipe and non-finite errors all derive from it. A usage error is a
+# click exception, which click reports itself (exit 2).
+DATA_ERRORS = (ValueError, OSError, DivergenceError)
 
 
 def _fail(exc: BaseException) -> None:
@@ -36,6 +37,48 @@ def _fail(exc: BaseException) -> None:
     prefix = f"error[{code}]" if code else "error"
     click.echo(f"{prefix}: {exc}", err=True)
     sys.exit(1)
+
+
+class _Main(click.Group):
+    """Runs a command and reports any data error it raises (exit 1)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DATA_ERRORS as exc:
+            _fail(exc)
+
+
+def _parsed_by(parse):
+    """Option callback that parses the text; a ValueError is a usage error."""
+
+    def callback(ctx, param, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from exc
+
+    return callback
+
+
+def _gemm_shapes(text: str) -> list[GemmShape]:
+    shapes = []
+    for part in text.split(","):
+        dims = part.lower().split("x")
+        if len(dims) != 3 or not all(d.strip().isdigit() for d in dims):
+            raise ValueError(f"expected MxNxK, got {part!r}")
+        shapes.append(GemmShape(*map(int, dims)))
+    return shapes
+
+
+def _hidden_sizes(text: str) -> list[int]:
+    sizes = [int(h) for h in text.split(",") if h.strip()]
+    if any(h < 1 for h in sizes):
+        raise ValueError(f"hidden sizes must be positive, got {text!r}")
+    return sizes
+
+
+_PATTERN = click.option("--pattern", default="2:4", show_default=True, callback=_parsed_by(NMPattern.parse))
 
 
 def _load_entry(path: str, name: str | None, want):
@@ -48,13 +91,15 @@ def _load_entry(path: str, name: str | None, want):
                 f"(found {len(matching)})"
             )
         name = matching[0]
+    if name not in arch.entries:
+        raise ValueError(f"{path}: no entry named {name!r} (--entry)")
     entry = arch.entries[name]
     if not isinstance(entry, want):
         raise ValueError(f"{path}:{name} is {type(entry).__name__}, expected {want.__name__}")
     return name, entry
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Tools for N:M structured sparsity: compression, sparse GEMM, pruning,
     calibration, benchmarking, and a train/prune/retrain demo."""
@@ -63,16 +108,12 @@ def main():
 @main.command("compress")
 @click.argument("src", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dst", type=click.Path(dir_okay=False))
-@click.option("--pattern", default="2:4", show_default=True)
+@_PATTERN
 @click.option("--entry", default=None, help="Entry name (defaults to the only dense entry).")
 def cmd_compress(src, dst, pattern, entry):
     """Compress a conforming dense entry into value+metadata form."""
-    try:
-        p = NMPattern.parse(pattern)
-        name, dense = _load_entry(src, entry, DenseMatrix)
-        ar.write_archive(ar.TensorArchive().add(name, compress(dense, p)), dst)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    name, dense = _load_entry(src, entry, DenseMatrix)
+    ar.write_archive(ar.TensorArchive().add(name, compress(dense, pattern)), dst)
     click.echo(f"compressed {name} -> {dst}", err=True)
 
 
@@ -82,33 +123,26 @@ def cmd_compress(src, dst, pattern, entry):
 @click.option("--entry", default=None)
 def cmd_decompress(src, dst, entry):
     """Expand a compressed entry back to its dense form."""
-    try:
-        name, sp = _load_entry(src, entry, SparseNM)
-        ar.write_archive(ar.TensorArchive().add(name, decompress(sp)), dst)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    name, sp = _load_entry(src, entry, SparseNM)
+    ar.write_archive(ar.TensorArchive().add(name, decompress(sp)), dst)
     click.echo(f"decompressed {name} -> {dst}", err=True)
 
 
 @main.command("check")
 @click.argument("src", type=click.Path(exists=True, dir_okay=False))
-@click.option("--pattern", default="2:4", show_default=True)
+@_PATTERN
 @click.option("--entry", default=None)
 def cmd_check(src, pattern, entry):
     """Verify that a dense entry satisfies the N:M constraint."""
-    try:
-        p = NMPattern.parse(pattern)
-        name, dense = _load_entry(src, entry, DenseMatrix)
-        check_conformance(dense, p, raise_on_fail=True)
-    except DATA_ERRORS as exc:
-        _fail(exc)
-    click.echo(f"{name}: conforms to {p}")
+    name, dense = _load_entry(src, entry, DenseMatrix)
+    check_conformance(dense, pattern, raise_on_fail=True)
+    click.echo(f"{name}: conforms to {pattern}")
 
 
 @main.command("prune")
 @click.argument("src", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dst", type=click.Path(dir_okay=False))
-@click.option("--pattern", default="2:4", show_default=True)
+@_PATTERN
 @click.option("--permute", type=click.Choice(["off", "greedy", "exhaustive"]), default="off")
 @click.option("--transposable", type=click.Choice(["off", "exhaustive"]), default="off")
 @click.option("--entry", default=None)
@@ -116,29 +150,23 @@ def cmd_check(src, pattern, entry):
 def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
     """Magnitude-prune a dense entry; optionally permute columns first or
     enforce the constraint along both rows and columns."""
-    try:
-        p = NMPattern.parse(pattern)
-        name, dense = _load_entry(src, entry, DenseMatrix)
-        out = ar.TensorArchive()
-        if transposable != "off":
-            if p != NMPattern(2, 4):
-                raise ValueError("row+column masks support the 2:4 pattern only")
-            result = find_transposable_mask(dense)
-        elif permute != "off":
-            budget = SearchBudget(mode=permute, seed=seed)
-            perm, result = find_permutation(dense, p, budget)
-            dense = permute_columns(dense, perm)
-            out.add(
-                f"{name}.permutation",
-                DenseMatrix(perm.perm.astype(np.float32)[None, :], FP32),
-            )
-        else:
-            result = prune_magnitude(dense, p)
-        out.add(name, apply_mask(dense, result.mask))
-        out.add(f"{name}.mask", result.mask)
-        ar.write_archive(out, dst)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    if permute != "off" and transposable != "off":
+        raise click.UsageError("--permute and --transposable cannot be combined")
+    name, dense = _load_entry(src, entry, DenseMatrix)
+    out = ar.TensorArchive()
+    if transposable != "off":
+        if pattern != NMPattern(2, 4):
+            raise ValueError("row+column masks support the 2:4 pattern only")
+        result = find_transposable_mask(dense)
+    elif permute != "off":
+        perm, result = find_permutation(dense, pattern, SearchBudget(mode=permute, seed=seed))
+        dense = permute_columns(dense, perm)
+        out.add(f"{name}.permutation", DenseMatrix(perm.perm.astype(np.float32)[None, :], FP32))
+    else:
+        result = prune_magnitude(dense, pattern)
+    out.add(name, apply_mask(dense, result.mask))
+    out.add(f"{name}.mask", result.mask)
+    ar.write_archive(out, dst)
     click.echo(
         f"pruned {name}: retained |w| = {result.retained_magnitude:.4f}, "
         f"lost |w| = {result.lost_magnitude:.4f}",
@@ -154,23 +182,21 @@ def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
 @click.option("--b-entry", default=None)
 def cmd_spmm(a_path, b_path, c_path, a_entry, b_entry):
     """Multiply a compressed operand with a dense one."""
-    try:
-        name_a, sp = _load_entry(a_path, a_entry, SparseNM)
-        _, dense = _load_entry(b_path, b_entry, DenseMatrix)
-        result = spmm(sp, dense)
-        # accumulator values can exceed the input element range, so the
-        # on-disk result is always FP32
-        out = DenseMatrix(result.data.astype(np.float32), FP32)
-        ar.write_archive(ar.TensorArchive().add("c", out), c_path)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    name_a, sp = _load_entry(a_path, a_entry, SparseNM)
+    _, dense = _load_entry(b_path, b_entry, DenseMatrix)
+    result = spmm(sp, dense)
+    # accumulator values can exceed the input element range, so the
+    # on-disk result is always FP32
+    out = DenseMatrix(result.data.astype(np.float32), FP32)
+    ar.write_archive(ar.TensorArchive().add("c", out), c_path)
     click.echo(f"spmm {name_a}: wrote {c_path}", err=True)
 
 
 @main.command("calibrate")
 @click.argument("src", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dst", type=click.Path(dir_okay=False))
-@click.option("--method", default="max", show_default=True, help="max | entropy | percentile=P")
+@click.option("--method", default="max", show_default=True, help="max | entropy | percentile=P",
+              callback=_parsed_by(CalibMethod.parse))
 @click.option(
     "--granularity",
     type=click.Choice([g.value for g in Granularity]),
@@ -179,27 +205,20 @@ def cmd_spmm(a_path, b_path, c_path, a_entry, b_entry):
 )
 def cmd_calibrate(src, dst, method, granularity):
     """Compute quantization scales from every dense entry in an archive."""
-    try:
-        arch = ar.read_archive(src)
-        samples = [v for v in arch.entries.values() if isinstance(v, DenseMatrix)]
-        scales = calibrate(samples, CalibMethod.parse(method), Granularity(granularity))
-        ar.write_archive(ar.TensorArchive().add("scales", scales), dst)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    arch = ar.read_archive(src)
+    samples = [v for v in arch.entries.values() if isinstance(v, DenseMatrix)]
+    scales = calibrate(samples, method, Granularity(granularity))
+    ar.write_archive(ar.TensorArchive().add("scales", scales), dst)
     for s in scales.scales.tolist():
         click.echo(repr(s))
 
 
 @main.command("bench")
-@click.option(
-    "--sizes",
-    default="128x128x64,128x128x256,128x128x1024",
-    show_default=True,
-    help="Comma-separated MxNxK triples.",
-)
-@click.option("--format", "fmt_name", default="int8", show_default=True)
-@click.option("--pattern", default="2:4", show_default=True)
-@click.option("--repeats", default=5, show_default=True)
+@click.option("--sizes", default="128x128x64,128x128x256,128x128x1024", show_default=True,
+              help="Comma-separated MxNxK triples.", callback=_parsed_by(_gemm_shapes))
+@click.option("--format", "fmt_name", type=click.Choice(list(_FORMATS)), default="int8", show_default=True)
+@_PATTERN
+@click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
     """Wall-clock sparse-vs-dense comparison; CSV on stdout.
@@ -207,36 +226,24 @@ def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
     The speedup column is measured against the gemm_dense emulation oracle on
     this CPU, not against real sparse hardware.
     """
-    try:
-        fmt = _FORMATS[fmt_name]
-        shapes = []
-        for part in sizes.split(","):
-            m, n, k = (int(v) for v in part.lower().split("x"))
-            shapes.append(GemmShape(m, n, k))
-        report = run_bench(shapes, fmt, repeats=repeats, pattern=NMPattern.parse(pattern), seed=seed)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    report = run_bench(sizes, _FORMATS[fmt_name], repeats=repeats, pattern=pattern, seed=seed)
     click.echo(report.to_csv(), nl=False)
 
 
 @main.command("demo-workflow")
 @click.option("--recipe", "recipe_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--features", default=64, show_default=True)
-@click.option("--classes", default=4, show_default=True)
-@click.option("--samples", default=512, show_default=True)
-@click.option("--hidden", default="64", show_default=True, help="Comma-separated hidden sizes.")
+@click.option("--features", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--classes", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=512, show_default=True)
+@click.option("--hidden", default="64", show_default=True, help="Comma-separated hidden sizes.",
+              callback=_parsed_by(_hidden_sizes))
 @click.option("--seed", default=0, show_default=True)
 def cmd_demo_workflow(recipe_path, features, classes, samples, hidden, seed):
     """Run a recipe end to end on the synthetic classification task."""
-    try:
-        with open(recipe_path) as f:
-            recipe = parse_recipe(f.read())
-        data = make_blobs(samples=samples, features=features, classes=classes, seed=seed)
-        sizes = [features] + [int(h) for h in hidden.split(",") if h.strip()] + [classes]
-        net = TinyNet.init(sizes, seed=seed)
-        report = run_recipe(recipe, net, data)
-    except DATA_ERRORS as exc:
-        _fail(exc)
+    with open(recipe_path) as f:
+        recipe = parse_recipe(f.read())
+    data = make_blobs(samples=samples, features=features, classes=classes, seed=seed)
+    report = run_recipe(recipe, TinyNet.init([features, *hidden, classes], seed=seed), data)
     for phase in report["phases"]:
         metrics = {k: v for k, v in phase.items() if k not in ("name", "kind", "weight_scales")}
         rendered = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in metrics.items())

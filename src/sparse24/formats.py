@@ -211,7 +211,9 @@ class NMPattern:
 
     @classmethod
     def parse(cls, text: str) -> "NMPattern":
-        n, _, m = text.partition(":")
+        n, sep, m = text.partition(":")
+        if not (sep and n.strip().isdigit() and m.strip().isdigit()):
+            raise ValueError(f"expected N:M, got {text!r}")
         return cls(int(n), int(m))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import SparseNM
+from .codec import SparseNM, apply_mask, compress
 from .formats import (
     AccType,
     DenseMatrix,
@@ -30,6 +30,7 @@ from .formats import (
     _accumulate,
     gemm_dense,
 )
+from .pruning import prune_magnitude
 
 
 @dataclass
@@ -135,9 +136,6 @@ def bench(
 
     ``speedup`` is measured against :func:`gemm_dense`, the slow emulation
     oracle, on this CPU; it is not a claim about sparse hardware."""
-    from .pruning import prune_magnitude  # local import to avoid a cycle
-    from .codec import apply_mask, compress
-
     if pattern is None:
         pattern = NMPattern(2, 4)
     rng = np.random.default_rng(seed)

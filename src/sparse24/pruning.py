@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Mask, apply_mask  # noqa: F401  (re-exported; masks pair with pruning)
+from .codec import Mask
 from .formats import DenseMatrix, NMPattern, ShapeError, require_finite
 
 

@@ -9,15 +9,16 @@ layer-eligibility policy and the declarative multi-phase recipe format.
 from __future__ import annotations
 
 import configparser
-import copy
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from .calibration import CalibMethod, Granularity, calibrate
 from .codec import Mask
-from .formats import ElemType, NMPattern, NumericFormat
+from .formats import FP32, DenseMatrix, NMPattern, NumericFormat
+from .pruning import prune_magnitude
 
 
 # --- layer eligibility policy ---
@@ -65,7 +66,7 @@ def eligible(layer: LayerManifest) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Fixed training schedule; retraining must reuse it byte-for-byte."""
+    """Fixed training schedule; retraining must reuse it field for field."""
 
     epochs: int
     lr: float
@@ -82,15 +83,6 @@ class Schedule:
             if epoch >= milestone:
                 lr *= self.lr_decay_factor
         return lr
-
-    def descriptor(self) -> bytes:
-        fields_ = (
-            f"epochs={self.epochs};lr={self.lr!r};batch_size={self.batch_size};"
-            f"momentum={self.momentum!r};weight_decay={self.weight_decay!r};"
-            f"lr_decay_epochs={list(self.lr_decay_epochs)!r};"
-            f"lr_decay_factor={self.lr_decay_factor!r};seed={self.seed}"
-        )
-        return fields_.encode()
 
 
 class DivergenceError(RuntimeError):
@@ -268,7 +260,7 @@ class RecipeError(ValueError):
 def validate_recipe(recipe: Recipe) -> None:
     """Enforce phase-ordering rules: exactly one prune, dense phases before
     it, sparse phases after it, and every retrain repeating a dense phase's
-    schedule byte-for-byte."""
+    schedule field for field."""
     kinds = [p.kind for p in recipe.phases]
     if kinds.count(PhaseKind.PRUNE) != 1:
         raise RecipeError("recipe must contain exactly one prune phase")
@@ -293,7 +285,7 @@ def validate_recipe(recipe: Recipe) -> None:
             raise RecipeError(f"retrain phase {p.name!r} repeats unknown phase {p.repeats!r}")
         if p.schedule is None or target.schedule is None:
             raise RecipeError("retrain and its paired dense phase need schedules")
-        if p.schedule.descriptor() != target.schedule.descriptor():
+        if p.schedule != target.schedule:
             raise RecipeError(
                 f"retrain phase {p.name!r} must repeat the schedule of {target.name!r} exactly"
             )
@@ -301,10 +293,6 @@ def validate_recipe(recipe: Recipe) -> None:
 
 def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
     """Execute a validated recipe on a tiny net; returns per-phase metrics."""
-    from .pruning import prune_magnitude  # cycle avoidance
-    from .formats import DenseMatrix, FP32
-    from .calibration import CalibMethod, Granularity, calibrate
-
     validate_recipe(recipe)
     masks: dict[int, Mask] = {}
     report: dict = {"phases": []}
@@ -360,7 +348,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 #   repeats = pretrain
 #
 # Retrain phases inherit the repeated phase's schedule; any schedule keys they
-# declare must agree with it.
+# declare must agree with it (validate_recipe compares the two schedules).
 
 _SCHEDULE_KEYS = {
     "epochs": int,
@@ -397,16 +385,8 @@ def parse_recipe(text: str) -> Recipe:
                 int(v) for v in sec["lr_decay_epochs"].split(",") if v.strip()
             )
         if kind is PhaseKind.RETRAIN_SPARSE and repeats:
-            base = schedules.get(repeats)
-            if base is None:
-                raise RecipeError(f"phase {name!r} repeats unknown phase {repeats!r}")
-            base_fields = copy.copy(base.__dict__)
-            for k, v in declared.items():
-                if base_fields.get(k) != v:
-                    raise RecipeError(
-                        f"phase {name!r} overrides {k} of repeated phase {repeats!r}"
-                    )
-            schedule = base
+            base = schedules.get(repeats)  # unknown: validate_recipe rejects the phase
+            schedule = None if base is None else replace(base, **declared)
         elif kind in _TRAIN_KINDS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")

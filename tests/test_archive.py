@@ -231,6 +231,45 @@ class TestErrors:
         with pytest.raises(s.TruncatedError):
             s.read_archive(path)
 
+    @pytest.mark.parametrize(
+        "entry, offset, value, error",
+        [
+            ("dense", 13, b"\x09", s.InvariantError),
+            ("dense", 14, b"\x09", s.InvariantError),
+            ("dense", 15, b"\x09", s.InvariantError),
+            ("scales", 14, b"\x09", s.InvariantError),
+            ("dense", 14, b"\x04\x00", s.InvariantError),
+            ("sparse", 24, b"\x04", s.InvariantError),
+            ("sparse", 20, struct.pack("<I", 6), s.InvariantError),
+            ("scales", 15, struct.pack("<I", 3), s.TruncatedError),
+        ],
+        ids=[
+            "unknown_kind",
+            "unknown_elem",
+            "unknown_acc",
+            "unknown_granularity",
+            "int8_with_fp32_acc",
+            "n_not_below_m",
+            "m_not_dividing_cols",
+            "scale_count_disagrees",
+        ],
+    )
+    def test_corrupt_header_field(self, tmp_path, entry, offset, value, error):
+        # entry "w" has its kind byte at offset 13 and its header fields from 14
+        conforming = s.DenseMatrix.from_values(np.tile([1.0, 0.0, 2.0, 0.0], (2, 2)), s.FP16)
+        entries = {
+            "dense": conforming,
+            "sparse": s.compress(conforming, s.PATTERN_24),
+            "scales": s.ScaleSet(s.Granularity.PER_ROW, np.array([0.25, 0.5])),
+        }
+        path = tmp_path / "h.s24t"
+        s.write_archive(s.TensorArchive().add("w", entries[entry]), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(value)] = value
+        path.write_bytes(raw)
+        with pytest.raises(error):
+            s.read_archive(path)
+
     def test_name_too_long_for_u16(self, tmp_path, rng):
         arch = s.TensorArchive().add("x" * 65_536, random_dense(rng, 1, 1, s.FP32))
         with pytest.raises(s.InvariantError):

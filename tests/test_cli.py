@@ -60,6 +60,16 @@ class TestPruneCheckPipeline:
         mask = s.read_archive(dst)["w.mask"]
         s.Mask(np.ascontiguousarray(mask.bits.T)).check(s.PATTERN_24)
 
+    def test_permute_with_transposable_is_usage_error(self, runner, tmp_path, rng):
+        src = tmp_path / "w.s24t"
+        dst = tmp_path / "p.s24t"
+        write_dense(src, random_dense(rng, 8, 8, s.FP16))
+        args = ["prune", str(src), str(dst), "--permute", "greedy", "--transposable", "exhaustive"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--permute" in result.stderr and "--transposable" in result.stderr
+        assert not dst.exists()
+
 
 class TestDataErrors:
     def test_prune_non_finite_weight(self, runner, tmp_path, rng):
@@ -99,6 +109,58 @@ class TestDataErrors:
         assert result.exit_code == 1
         assert result.stderr.startswith(f"error[{code}]:")
         assert isinstance(result.exception, SystemExit)
+
+    def test_missing_entry_named(self, runner, tmp_path, rng):
+        path = tmp_path / "w.s24t"
+        write_dense(path, random_conforming(rng, 4, 8, s.FP16))
+        result = runner.invoke(main, ["check", str(path), "--entry", "nope"])
+        assert result.exit_code == 1
+        assert "no entry named 'nope'" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestUsageErrors:
+    """Malformed arguments are usage errors (exit 2) that name the option,
+    never a data error or a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["calibrate", "{src}", "{dst}", "--method", "foo"], "--method"),
+            (["calibrate", "{src}", "{dst}", "--method", "percentile=abc"], "--method"),
+            (["bench", "--format", "xyz"], "--format"),
+            (["bench", "--sizes", "16x16"], "--sizes"),
+            (["bench", "--sizes", "16x16x0"], "--sizes"),
+            (["bench", "--repeats", "0"], "--repeats"),
+            (["check", "{src}", "--pattern", "3"], "--pattern"),
+            (["demo-workflow", "--recipe", "{recipe}", "--hidden", "0"], "--hidden"),
+            (["demo-workflow", "--recipe", "{recipe}", "--features", "0"], "--features"),
+            (["demo-workflow", "--recipe", "{recipe}", "--classes", "0"], "--classes"),
+            (["demo-workflow", "--recipe", "{recipe}", "--samples", "0"], "--samples"),
+        ],
+        ids=[
+            "method_unknown",
+            "method_percentile_not_a_number",
+            "format_unknown",
+            "sizes_not_a_triple",
+            "sizes_zero_dim",
+            "repeats_zero",
+            "pattern_not_n_m",
+            "hidden_zero",
+            "features_zero",
+            "classes_zero",
+            "samples_zero",
+        ],
+    )
+    def test_exit_2(self, runner, tmp_path, rng, args, option):
+        paths = {"src": tmp_path / "w.s24t", "dst": tmp_path / "out.s24t", "recipe": tmp_path / "r.recipe"}
+        write_dense(paths["src"], random_dense(rng, 8, 8, s.FP32))
+        paths["recipe"].write_text(RECIPE)
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert option in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not paths["dst"].exists()
 
 
 class TestCompressDecompress:
@@ -199,6 +261,14 @@ class TestDemoWorkflow:
         out1 = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe), "--seed", "5"]).stdout
         out2 = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe), "--seed", "5"]).stdout
         assert out1 == out2
+
+    def test_diverging_recipe_exit_1(self, runner, tmp_path):
+        recipe = tmp_path / "r.recipe"
+        recipe.write_text(RECIPE.replace("lr = 0.05", "lr = 1e6"))
+        result = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: loss diverged")
+        assert isinstance(result.exception, SystemExit)
 
     def test_invalid_recipe_exit_1(self, runner, tmp_path):
         recipe = tmp_path / "r.recipe"

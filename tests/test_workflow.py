@@ -139,8 +139,8 @@ class TestMaskedRetraining:
     def test_schedule_descriptor_byte_identity(self):
         a = s.Schedule(epochs=10, lr=0.05, seed=3)
         b = s.Schedule(epochs=10, lr=0.05, seed=3)
-        assert a.descriptor() == b.descriptor()
-        assert a.descriptor() != s.Schedule(epochs=10, lr=0.051, seed=3).descriptor()
+        assert a == b
+        assert a != s.Schedule(epochs=10, lr=0.051, seed=3)
 
 
 RECIPE_BASIC = """
@@ -197,12 +197,12 @@ class TestRecipes:
             PhaseKind.PRUNE,
             PhaseKind.RETRAIN_SPARSE,
         ]
-        assert recipe.phases[2].schedule.descriptor() == recipe.phases[0].schedule.descriptor()
+        assert recipe.phases[2].schedule == recipe.phases[0].schedule
 
     def test_two_phase_repeat_second_only(self):
         recipe = s.parse_recipe(RECIPE_TWO_PHASE)
         retrain = recipe.phases[-1]
-        assert retrain.schedule.descriptor() == recipe.phases[1].schedule.descriptor()
+        assert retrain.schedule == recipe.phases[1].schedule
 
     def test_retrain_before_prune_rejected(self):
         with pytest.raises(s.RecipeError):
