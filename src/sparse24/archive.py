@@ -20,13 +20,13 @@ Each entry:
     payload_len u64, then payload bytes
 
 Payloads: dense values row-major in the element width (bf16 as raw upper-half
-bits); sparse entries store values then metadata, each metadata row packed
-into ceil(log2 m)-bit fields little-endian within bytes and padded with zero
-bits to a byte boundary; scale sets are float64; masks pack one bit per
-element, rows padded the same way. Padding bits must be zero, entry names
-must be distinct and nothing may follow the last entry, so every archive has
-one encoding. See docs/format.md
-for a hex-dump walkthrough.
+bits, tf32 as fp32 words whose 13 low mantissa bits are zero); sparse entries
+store values then metadata, each metadata row packed into ceil(log2 m)-bit
+fields little-endian within bytes and padded with zero bits to a byte
+boundary; scale sets are float64; masks pack one bit per element, rows padded
+the same way. Padding bits must be zero, entry names must be distinct and
+nothing may follow the last entry, so every archive has one encoding. See
+docs/format.md for a hex-dump walkthrough.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .calibration import Granularity, ScaleSet
 from .codec import Mask, SparseNM
-from .formats import AccType, DenseMatrix, ElemType, NMPattern, NumericFormat
+from .formats import STORAGE_DTYPE, AccType, DenseMatrix, ElemType, NMPattern, NumericFormat
 
 MAGIC = b"S24T"
 VERSION = 1
@@ -94,34 +94,33 @@ class TensorArchive:
         return self.entries[name]
 
 
-def _elem_dtype(elem: ElemType) -> np.dtype:
-    if elem is ElemType.INT8:
-        return np.dtype("<i1")
-    if elem is ElemType.FP16:
-        return np.dtype("<f2")
-    if elem is ElemType.BF16:
-        return np.dtype("<u2")
-    return np.dtype("<f4")
-
-
 def _encode_values(arr: np.ndarray, elem: ElemType) -> bytes:
     if elem is ElemType.BF16:  # the upper half of each float32 word
         arr = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
-    return np.ascontiguousarray(arr, dtype=_elem_dtype(elem)).tobytes()
+    stored = np.ascontiguousarray(arr, dtype=STORAGE_DTYPE[elem])
+    _check_tf32(stored, elem)
+    return stored.tobytes()
 
 
 def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.ndarray:
-    dtype = _elem_dtype(elem)
+    dtype = STORAGE_DTYPE[elem]
     if len(raw) != shape[0] * shape[1] * dtype.itemsize:
         raise TruncatedError(
             f"payload is {len(raw)} bytes, expected {shape[0] * shape[1]} values of {dtype.itemsize}"
         )
     flat = np.frombuffer(raw, dtype=dtype)
+    _check_tf32(flat, elem)
     if elem is ElemType.INT8:
         return flat.astype(np.int32).reshape(shape)
     if elem is ElemType.BF16:
         return (flat.astype(np.uint32) << 16).view(np.float32).reshape(shape)
     return flat.astype(np.float32).reshape(shape)
+
+
+def _check_tf32(stored: np.ndarray, elem: ElemType) -> None:
+    """TF32, the one type stored wider than it is, must leave 13 low mantissa bits 0."""
+    if elem is ElemType.TF32 and (stored.view(np.uint32) & np.uint32(0x1FFF)).any():
+        raise InvariantError("a TF32 value has nonzero mantissa bits below its 10 explicit bits")
 
 
 def pack_bit_fields(rows: np.ndarray, bits_per_field: int) -> bytes:
@@ -200,7 +199,7 @@ def _decode_entry(kind: int, head: tuple, payload: bytes) -> Entry:
         pattern = NMPattern(n, m)
         pattern.check_divides(cols)
         kept = cols * n // m
-        vbytes = rows * kept * _elem_dtype(fmt.elem).itemsize
+        vbytes = rows * kept * STORAGE_DTYPE[fmt.elem].itemsize
         values = _decode_values(payload[:vbytes], fmt.elem, (rows, kept))
         meta = unpack_bit_fields(payload[vbytes:], rows, kept, pattern.meta_bits)
         entry = SparseNM(cols, pattern, values, meta, fmt)

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .codec import SparseNM
-from .formats import INT8, DenseMatrix, ShapeError, require_finite
+from .formats import INT8, DenseMatrix, ElemType, FormatError, ShapeError, require_finite, round_array
 from .kernels import spmm
 
 
@@ -88,12 +88,12 @@ def calibrate(
     zeros) falls back to amax/127, so no scale is 0. entropy: clip threshold
     minimizing KL divergence between the clipped distribution and its
     128-level quantization (2048-bin histogram of |x|), over 127. All-zero
-    slices get scale 1.0. Raises :class:`NonFiniteError` if any sample holds
-    NaN or ±inf.
+    slices get scale 1.0. Raises :class:`ShapeError` on an empty stream and
+    :class:`NonFiniteError` if any sample holds NaN or ±inf.
     """
     mats = list(samples)
     if not mats:
-        raise ValueError("empty calibration stream")
+        raise ShapeError("empty calibration stream")
     for m in mats:
         require_finite(m.data, "calibration samples")
     if granularity is Granularity.PER_TENSOR:
@@ -228,7 +228,7 @@ def quantize(x: DenseMatrix, scale: ScaleSet) -> DenseMatrix:
 def _to_int8(values: np.ndarray, scale: ScaleSet) -> np.ndarray:
     """clamp(round_nearest_even(values / scale), -128, 127) per row, in float64."""
     s = scale.per_row_of(len(values))[:, None]
-    return np.clip(np.rint(values.astype(np.float64) / s), -128, 127).astype(np.int32)
+    return round_array(values.astype(np.float64) / s, ElemType.INT8)
 
 
 def dequantize(q: DenseMatrix, scale: ScaleSet) -> np.ndarray:
@@ -241,13 +241,15 @@ def quantized_sparse_gemm(
     scale_a: ScaleSet,
     scale_b: ScaleSet,
 ) -> np.ndarray:
-    """INT32-accumulated sparse GEMM rescaled back to real values.
+    """INT32-accumulated sparse GEMM of INT8 operands, rescaled to real values.
 
     Output row i is scaled by scale_a[i] * scale_b (scale_b per tensor).
     """
+    if a.fmt != INT8:
+        raise FormatError(f"quantized sparse GEMM needs INT8 operands, got {a.fmt}")
     if scale_b.granularity is not Granularity.PER_TENSOR:
         raise ValueError("dense operand supports per-tensor scaling only")
-    acc = spmm(a, b, INT8)
+    acc = spmm(a, b)
     sa = scale_a.per_row_of(a.rows)[:, None]
     return acc.data.astype(np.float64) * sa * scale_b.scales[0]
 

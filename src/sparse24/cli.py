@@ -11,7 +11,7 @@ import numpy as np
 from . import archive as ar
 from .calibration import CalibMethod, Granularity, calibrate
 from .codec import SparseNM, apply_mask, check_conformance, compress, decompress
-from .formats import ALL_FORMATS, FP32, DenseMatrix, GemmShape, NMPattern
+from .formats import ALL_FORMATS, FP32, PATTERN_24, DenseMatrix, GemmShape, NMPattern
 from .kernels import bench as run_bench
 from .kernels import spmm
 from .pruning import (
@@ -152,11 +152,11 @@ def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
     enforce the constraint along both rows and columns."""
     if permute != "off" and transposable != "off":
         raise click.UsageError("--permute and --transposable cannot be combined")
+    if transposable != "off" and pattern != PATTERN_24:
+        raise click.UsageError("--transposable supports the 2:4 pattern only")
     name, dense = _load_entry(src, entry, DenseMatrix)
     out = ar.TensorArchive()
     if transposable != "off":
-        if pattern != NMPattern(2, 4):
-            raise ValueError("row+column masks support the 2:4 pattern only")
         result = find_transposable_mask(dense)
     elif permute != "off":
         perm, result = find_permutation(dense, pattern, SearchBudget(mode=permute, seed=seed))

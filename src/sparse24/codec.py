@@ -18,16 +18,18 @@ from .formats import DenseMatrix, NMPattern, NumericFormat, ShapeError
 class ConformanceError(ValueError):
     """Input violates the N:M sparsity constraint."""
 
-    def __init__(self, row: int, group: int, nonzeros: int, pattern: NMPattern):
+    code = "conformance"
+
+    def __init__(self, row: int, group: int, problem: str):
         self.row = row
         self.group = group
-        super().__init__(
-            f"row {row}, group {group}: {nonzeros} nonzeros exceed {pattern} pattern"
-        )
+        super().__init__(f"row {row}, group {group}: {problem}")
 
 
 class MetadataError(ValueError):
     """Malformed positional metadata."""
+
+    code = "metadata"
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,11 @@ class Mask:
 
     def check(self, pattern: NMPattern) -> None:
         pattern.check_divides(self.cols)
-        groups = self.bits.reshape(self.rows, -1, pattern.m)
+        groups = self.bits.reshape(self.rows, self.cols // pattern.m, pattern.m)
         counts = groups.sum(axis=2)
         if not np.all(counts == pattern.n):
             r, g = np.argwhere(counts != pattern.n)[0]
-            raise ConformanceError(int(r), int(g), int(counts[r, g]), pattern)
+            raise ConformanceError(int(r), int(g), f"{counts[r, g]} kept, {pattern} keeps {pattern.n}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,12 @@ class SparseNM:
 def check_conformance(a: DenseMatrix, pattern: NMPattern, raise_on_fail: bool = False) -> bool:
     """True iff every aligned group of m row elements has at most n nonzeros."""
     pattern.check_divides(a.cols)
-    nz = (a.data != 0).reshape(a.rows, -1, pattern.m)
+    nz = (a.data != 0).reshape(a.rows, a.cols // pattern.m, pattern.m)
     counts = nz.astype(np.int16) @ np.ones(pattern.m, dtype=np.int16)
     ok = bool(np.all(counts <= pattern.n))
     if not ok and raise_on_fail:
         r, g = np.argwhere(counts > pattern.n)[0]
-        raise ConformanceError(int(r), int(g), int(counts[r, g]), pattern)
+        raise ConformanceError(int(r), int(g), f"{counts[r, g]} nonzeros exceed the {pattern} pattern")
     return ok
 
 
@@ -130,8 +132,8 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     """
     pattern.check_divides(a.cols)
     n, m = pattern.n, pattern.m
-    rows = a.rows
-    groups = a.data.reshape(rows, -1, m)
+    rows, cols_kept = a.rows, a.cols // m * n
+    groups = a.data.reshape(rows, a.cols // m, m)
     nz = groups != 0
     # zero_rank[..., k] counts the zeros at indices <= k of each group; an
     # int16 matmul with an upper-triangular ones matrix is faster than a
@@ -148,8 +150,8 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     return SparseNM(
         cols_orig=a.cols,
         pattern=pattern,
-        values=groups.ravel()[flat].reshape(rows, -1),
-        meta=(flat % m).astype(np.uint8).reshape(rows, -1),
+        values=groups.ravel()[flat].reshape(rows, cols_kept),
+        meta=(flat % m).astype(np.uint8).reshape(rows, cols_kept),
         fmt=a.fmt,
     )
 

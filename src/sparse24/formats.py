@@ -46,7 +46,7 @@ class NumericFormat:
 
     @property
     def elem_bits(self) -> int:
-        return _ELEM_BITS[self.elem]
+        return 8 * STORAGE_DTYPE[self.elem].itemsize
 
     @property
     def sparse_capable(self) -> bool:
@@ -57,6 +57,14 @@ class NumericFormat:
     def sparse_k_multiple(self) -> int:
         """Inner-dimension alignment required for sparse multiplication."""
         return 32 if self.is_integer else 16
+
+    def check_sparse(self, k: int) -> None:
+        """Require a sparse mode and a positive inner dimension k aligned to sparse_k_multiple."""
+        if not self.sparse_capable:
+            raise FormatError(f"format {self} has no sparse mode")
+        mult = self.sparse_k_multiple
+        if k <= 0 or k % mult != 0:
+            raise ShapeError(f"sparse K={k} must be a positive multiple of {mult} for {self}")
 
     def __str__(self) -> str:
         return f"{self.elem.value}/{self.acc.value}"
@@ -71,12 +79,13 @@ _ALLOWED_PAIRS = {
     (ElemType.INT8, AccType.INT32),
 }
 
-_ELEM_BITS = {
-    ElemType.FP32: 32,
-    ElemType.TF32: 32,  # stored as fp32 words
-    ElemType.FP16: 16,
-    ElemType.BF16: 16,
-    ElemType.INT8: 8,
+# Little-endian storage of one element; TF32 fills an fp32 word, BF16 its upper half.
+STORAGE_DTYPE = {
+    ElemType.FP32: np.dtype("<f4"),
+    ElemType.TF32: np.dtype("<f4"),
+    ElemType.FP16: np.dtype("<f2"),
+    ElemType.BF16: np.dtype("<u2"),
+    ElemType.INT8: np.dtype("<i1"),
 }
 
 FP32 = NumericFormat(ElemType.FP32, AccType.FP32)
@@ -90,11 +99,11 @@ ALL_FORMATS = (FP32, TF32, FP16, BF16, FP16_FP16, INT8)
 
 
 class FormatError(ValueError):
-    pass
+    code = "format"
 
 
 class ShapeError(ValueError):
-    pass
+    code = "shape"
 
 
 class NonFiniteError(ValueError):
@@ -113,23 +122,22 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     """Round values into the target element type (round-to-nearest-even).
 
     Float formats return float32 arrays holding exactly-representable values;
-    INT8 saturates to [-128, 127] and returns int32. TF32 keeps the FP32 value
-    with the mantissa truncated to 10 explicit bits.
+    INT8 rounds in float64, saturates to [-128, 127] and returns int32. TF32
+    keeps the FP32 value with the mantissa truncated to 10 explicit bits.
     """
+    if elem is ElemType.INT8:
+        return np.clip(np.rint(np.asarray(x, dtype=np.float64)), -128, 127).astype(np.int32)
     x = np.asarray(x, dtype=np.float32)
     if elem is ElemType.FP32:
         return x.copy()
     if elem is ElemType.FP16:
         return x.astype(np.float16).astype(np.float32)
     if elem is ElemType.BF16:
-        bits = x.view(np.uint32) if x.flags["C_CONTIGUOUS"] else np.ascontiguousarray(x).view(np.uint32)
+        bits = x.view(np.uint32)
         rounded = bits + 0x7FFF + ((bits >> 16) & 1)
         return (rounded & np.uint32(0xFFFF0000)).view(np.float32).copy()
     if elem is ElemType.TF32:
-        bits = np.ascontiguousarray(x).view(np.uint32)
-        return (bits & np.uint32(0xFFFFE000)).view(np.float32).copy()
-    if elem is ElemType.INT8:
-        return np.clip(np.rint(x), -128, 127).astype(np.int32)
+        return (x.view(np.uint32) & np.uint32(0xFFFFE000)).view(np.float32).copy()
     raise FormatError(f"unknown element type {elem}")
 
 
@@ -157,16 +165,7 @@ class DenseMatrix:
     @classmethod
     def from_values(cls, values, fmt: NumericFormat) -> "DenseMatrix":
         """Build a matrix, rounding arbitrary values into the element format."""
-        arr = np.ascontiguousarray(values, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ShapeError(f"expected 2-D values, got ndim={arr.ndim}")
-        return cls(round_array(arr, fmt.elem), fmt)
-
-    def validate(self) -> None:
-        """Check that every element is representable in the element format."""
-        rounded = round_array(self.data.astype(np.float32), self.fmt.elem)
-        if not np.array_equal(rounded, self.data):
-            raise FormatError(f"data not representable in {self.fmt.elem.value}")
+        return cls(round_array(np.ascontiguousarray(values, dtype=np.float32), fmt.elem), fmt)
 
 
 @dataclass(frozen=True)
@@ -178,13 +177,6 @@ class GemmShape:
     def __post_init__(self):
         if min(self.m, self.n, self.k) <= 0:
             raise ShapeError(f"GEMM dims must be positive, got {self}")
-
-    def check_sparse(self, fmt: NumericFormat) -> None:
-        if not fmt.sparse_capable:
-            raise FormatError(f"format {fmt} has no sparse mode")
-        mult = fmt.sparse_k_multiple
-        if self.k % mult != 0:
-            raise ShapeError(f"sparse K={self.k} must be a multiple of {mult} for {fmt}")
 
 
 @dataclass(frozen=True)
@@ -226,38 +218,38 @@ def _wrap_int32(x: np.ndarray) -> np.ndarray:
     return np.where(low >= 2**31, low - 2**32, low).astype(np.int32)
 
 
-def gemm_dense(a: DenseMatrix, b: DenseMatrix, fmt: NumericFormat | None = None) -> DenseMatrix:
+def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Reference dense GEMM with the documented emulation semantics.
 
-    The every-column-kept case of the accumulate core that :func:`spmm
+    The mode is the operands' shared format (else :class:`FormatError`). The
+    every-column-kept case of the accumulate core that :func:`spmm
     <sparse24.kernels.spmm>` also runs: step k adds column k of A times row k
     of B, so summation is ascending over k. The result carries
     accumulator-format values in ``data`` (int32 for the INT8/INT32 mode,
     float32 otherwise).
     """
-    if fmt is None:
-        fmt = a.fmt
-    if a.fmt.elem is not fmt.elem or b.fmt.elem is not fmt.elem:
-        raise FormatError(f"operand formats {a.fmt}/{b.fmt} do not match mode {fmt}")
     if a.cols != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols} vs {b.rows}")
     # step k reads row k of B for every output row; views, so A is not copied
     rows_t = np.broadcast_to(np.arange(a.cols)[:, None], (a.cols, a.rows))
-    return _accumulate(a.data.T, rows_t, b, fmt)
+    return _accumulate(a.data.T, rows_t, a.fmt, b)
 
 
 def _accumulate(
-    vals_t: np.ndarray, rows_t: np.ndarray, b: DenseMatrix, fmt: NumericFormat
+    vals_t: np.ndarray, rows_t: np.ndarray, fmt: NumericFormat, b: DenseMatrix
 ) -> DenseMatrix:
     """The accumulate loop of both GEMMs: out[r] = sum_j vals_t[j, r] * B[rows_t[j, r]].
 
-    Step j gathers, for every output row r, row ``rows_t[j, r]`` of B,
-    multiplies it by ``vals_t[j, r]`` and adds the product into the M x N
-    accumulator, so each output element sums its products in ascending j.
-    FP16-accumulate mode rounds every product to fp16 before adding it;
-    INT8/INT32 mode adds exactly in int64 and wraps to int32 once at the end.
-    A zero value still multiplies its row, so 0 * inf in B gives NaN.
+    The mode is ``fmt``, A's format; B must share it. Step j gathers, for
+    every output row r, row ``rows_t[j, r]`` of B, multiplies it by
+    ``vals_t[j, r]`` and adds the product into the M x N accumulator, so each
+    output element sums its products in ascending j. FP16-accumulate mode
+    rounds every product to fp16 before adding it; INT8/INT32 mode adds
+    exactly in int64 and wraps to int32 once at the end. A zero value still
+    multiplies its row, so 0 * inf in B gives NaN.
     """
+    if b.fmt != fmt:
+        raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
     if fmt.is_integer:
         acc_dtype = np.int64
         vals_t = vals_t.astype(np.int64)

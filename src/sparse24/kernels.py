@@ -20,9 +20,9 @@ import numpy as np
 
 from .codec import SparseNM, apply_mask, compress
 from .formats import (
+    PATTERN_24,
     AccType,
     DenseMatrix,
-    FormatError,
     GemmShape,
     NMPattern,
     NumericFormat,
@@ -48,38 +48,31 @@ def spmm_flops(shape: GemmShape, pattern: NMPattern) -> int:
     return shape.m * shape.n * shape.k * pattern.n // pattern.m
 
 
-def spmm(
-    a: SparseNM,
-    b: DenseMatrix,
-    fmt: NumericFormat | None = None,
-    counter: MultiplyAddCounter | None = None,
-) -> DenseMatrix:
+def spmm(a: SparseNM, b: DenseMatrix, *, counter: MultiplyAddCounter | None = None) -> DenseMatrix:
     """Compute decompress(a) @ b without decompressing a.
 
-    Step j of one pass over the kept slots gathers, for every output row, the
-    row of B that the row's j-th kept value selects, multiplies it by that value
-    and adds the product (rounded to fp16 first in FP16-accumulate mode) into
-    the M x N accumulator. Each output element thus sums its products in
-    ascending original-column order. For finite operands the result is
-    bit-exact against :func:`gemm_dense` on the decompressed operand in every
-    mode; a pruned zero facing ±inf in B adds nothing here, where the dense
-    reference adds NaN.
+    The mode is the operands' shared format, which must pass
+    :meth:`NumericFormat.check_sparse` with K; operands of differing formats
+    raise :class:`FormatError`. Step j of one pass over the kept slots
+    gathers, for every output row, the row of B that the row's j-th kept
+    value selects, multiplies it by that value and adds the product (rounded
+    to fp16 first in FP16-accumulate mode) into the M x N accumulator. Each
+    output element thus sums its products in ascending original-column order.
+    For finite operands the result is bit-exact against :func:`gemm_dense` on
+    the decompressed operand in every mode, M = 0 and N = 0 included; a
+    pruned zero facing ±inf in B adds nothing here, where the dense reference
+    adds NaN.
     """
-    if fmt is None:
-        fmt = a.fmt
-    if a.fmt.elem is not fmt.elem or b.fmt.elem is not fmt.elem:
-        raise FormatError(f"operand formats {a.fmt}/{b.fmt} do not match mode {fmt}")
     if a.cols_orig != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols_orig} vs {b.rows}")
-    shape = GemmShape(a.rows, b.cols, a.cols_orig)
-    shape.check_sparse(fmt)
+    a.fmt.check_sparse(a.cols_orig)
 
     # one contiguous row per kept slot j: its value and its row of B, per output row
     rows_t = np.ascontiguousarray(a.column_indices().T)
     vals_t = np.ascontiguousarray(a.values.T)
-    out = _accumulate(vals_t, rows_t, b, fmt)
+    out = _accumulate(vals_t, rows_t, a.fmt, b)
     if counter is not None:
-        counter.add(a.cols_kept * shape.m * shape.n)
+        counter.add(a.cols_kept * a.rows * b.cols)
     return out
 
 
@@ -127,7 +120,7 @@ def bench(
     sizes: list[GemmShape],
     fmt: NumericFormat,
     repeats: int = 5,
-    pattern: NMPattern | None = None,
+    pattern: NMPattern = PATTERN_24,
     seed: int = 0,
 ) -> BenchReport:
     """Median wall-clock comparison of the dense reference vs the sparse kernel
@@ -136,19 +129,17 @@ def bench(
 
     ``speedup`` is measured against :func:`gemm_dense`, the slow emulation
     oracle, on this CPU; it is not a claim about sparse hardware."""
-    if pattern is None:
-        pattern = NMPattern(2, 4)
     rng = np.random.default_rng(seed)
     report = BenchReport()
     for shape in sizes:
-        shape.check_sparse(fmt)
+        fmt.check_sparse(shape.k)
         a = _random_dense(rng, shape.m, shape.k, fmt)
         b = _random_dense(rng, shape.k, shape.n, fmt)
         pruned = apply_mask(a, prune_magnitude(a, pattern).mask)
         sp = compress(pruned, pattern)
 
-        dense_ns = _median_ns(lambda: gemm_dense(pruned, b, fmt), repeats)
-        sparse_ns = _median_ns(lambda: spmm(sp, b, fmt), repeats)
+        dense_ns = _median_ns(lambda: gemm_dense(pruned, b), repeats)
+        sparse_ns = _median_ns(lambda: spmm(sp, b), repeats)
         report.rows.append(
             BenchRow(
                 m=shape.m,

@@ -76,7 +76,7 @@ def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:
     pattern.check_divides(w.cols)
     require_finite(w.data, "weights")
     absw = np.abs(w.data.astype(np.float64))
-    groups = absw.reshape(w.rows, -1, pattern.m)
+    groups = absw.reshape(w.rows, w.cols // pattern.m, pattern.m)
     # An entry is kept when fewer than n entries of its group beat it: a
     # larger |w| beats it, and so does an equal one at a lower index. rank[k]
     # starts at k, as if every lower slot beat slot k, and each slot pair
@@ -87,12 +87,15 @@ def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:
         later_wins = (slots[l] > slots[k]).view(np.int8)
         rank[k] += later_wins
         rank[l] -= later_wins
-    bits = (np.stack(rank, axis=2) < pattern.n).reshape(w.rows, w.cols)
-    mask = Mask(bits)
+    return _prune_result(absw, (np.stack(rank, axis=2) < pattern.n).reshape(w.rows, w.cols))
+
+
+def _prune_result(absw: np.ndarray, bits: np.ndarray) -> PruneResult:
+    """The mask ``bits`` with the magnitudes of ``absw`` that it keeps and drops."""
     total = float(absw.sum())
     # the kept magnitudes in row-major order: what absw[bits] sums, but faster
     retained = float(np.compress(bits.ravel(), absw.ravel()).sum())
-    return PruneResult(mask=mask, retained_magnitude=retained, lost_magnitude=total - retained)
+    return PruneResult(mask=Mask(bits), retained_magnitude=retained, lost_magnitude=total - retained)
 
 
 def permute_columns(w: DenseMatrix, perm: Permutation) -> DenseMatrix:
@@ -136,7 +139,7 @@ def enumerate_group_partitions(cols: int, m: int):
 
 def _top_n(absw: np.ndarray, pattern: NMPattern) -> np.ndarray:
     """The n largest magnitudes of every aligned group of m, shape (rows, groups, n)."""
-    groups = absw.reshape(absw.shape[0], -1, pattern.m)
+    groups = absw.reshape(absw.shape[0], absw.shape[1] // pattern.m, pattern.m)
     return -np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n]
 
 
@@ -172,19 +175,19 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
     base_sum = np.empty(cols)
 
     def refresh(groups):
-        blocks = cur.reshape(-1, m, rows)[groups]
+        blocks = cur.reshape(cols // m, m, rows)[groups]
         s = np.sort(blocks, axis=1)  # ascending: the n-th largest is s[:, m - n]
         nth, after = s[:, m - n : m - n + 1], s[:, m - n - 1 : m - n]
         top_sum = s[:, m - n :].sum(axis=1, keepdims=True)
         # taking an entry out of the top n lets the (n+1)-th largest in
         inside = blocks >= nth
         b = np.where(inside, top_sum - blocks + after, top_sum)
-        base.reshape(-1, m, rows)[groups] = b
-        thr.reshape(-1, m, rows)[groups] = np.where(inside, after, nth)
-        base_sum.reshape(-1, m)[groups] = b.sum(axis=2)
+        base.reshape(cols // m, m, rows)[groups] = b
+        thr.reshape(cols // m, m, rows)[groups] = np.where(inside, after, nth)
+        base_sum.reshape(cols // m, m)[groups] = b.sum(axis=2)
 
     refresh(slice(None))
-    first_batch = max(_FIRST_BATCH, _BATCH_ELEMENTS // rows)
+    first_batch = max(_FIRST_BATCH, _BATCH_ELEMENTS // max(rows, 1))
     improved = True
     while improved and swaps_left > 0:
         improved = False
@@ -305,8 +308,4 @@ def find_transposable_mask(w: DenseMatrix) -> PruneResult:
     tiles = absw.reshape(w.rows // 4, 4, w.cols // 4, 4)
     scores = np.einsum("kij,aibj->abk", TILE_MASKS_2OF4, tiles, optimize=True)
     best = TILE_MASKS_2OF4[np.argmax(scores, axis=2)]  # (row tile, col tile, 4, 4)
-    bits = best.transpose(0, 2, 1, 3).reshape(w.rows, w.cols)
-    mask = Mask(bits)
-    total = float(absw.sum())
-    retained = float(absw[bits].sum())
-    return PruneResult(mask=mask, retained_magnitude=retained, lost_magnitude=total - retained)
+    return _prune_result(absw, best.transpose(0, 2, 1, 3).reshape(w.rows, w.cols))

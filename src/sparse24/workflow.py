@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import CalibMethod, Granularity, calibrate
 from .codec import Mask
-from .formats import FP32, DenseMatrix, NMPattern, NumericFormat
+from .formats import FP32, PATTERN_24, DenseMatrix, FormatError, NMPattern, NumericFormat, ShapeError
 from .pruning import prune_magnitude
 
 
@@ -43,7 +43,6 @@ class LayerManifest:
     gemm_k: int
     in_channels: int
     dtype: NumericFormat
-    phase: int = 1
     is_first: bool = False
 
 
@@ -53,11 +52,10 @@ def eligible(layer: LayerManifest) -> tuple[bool, str]:
         return False, f"{layer.kind.value} layers are not GEMM-like"
     if layer.kind is LayerKind.CONV and layer.is_first and layer.in_channels == 3:
         return False, "first convolution on 3-channel input"
-    if not layer.dtype.sparse_capable:
-        return False, f"format {layer.dtype} has no sparse mode"
-    mult = layer.dtype.sparse_k_multiple
-    if layer.gemm_k <= 0 or layer.gemm_k % mult != 0:
-        return False, f"GEMM-K {layer.gemm_k} is not a multiple of {mult}"
+    try:
+        layer.dtype.check_sparse(layer.gemm_k)
+    except (FormatError, ShapeError) as exc:
+        return False, str(exc)
     return True, "prunable GEMM layer"
 
 
@@ -77,6 +75,10 @@ class Schedule:
     lr_decay_factor: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0 or self.batch_size < 1:
+            raise RecipeError(f"need epochs >= 0 and batch_size >= 1, got {self.epochs}, {self.batch_size}")
+
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
         for milestone in self.lr_decay_epochs:
@@ -95,7 +97,6 @@ class TinyNet:
 
     weights: list[np.ndarray]  # each (out, in), float64
     biases: list[np.ndarray]
-    seed: int
 
     @classmethod
     def init(cls, layer_sizes: list[int], seed: int) -> "TinyNet":
@@ -105,10 +106,10 @@ class TinyNet:
             limit = np.sqrt(2.0 / fan_in)
             ws.append(rng.standard_normal((fan_out, fan_in)) * limit)
             bs.append(np.zeros(fan_out))
-        return cls(ws, bs, seed)
+        return cls(ws, bs)
 
     def clone(self) -> "TinyNet":
-        return TinyNet([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.seed)
+        return TinyNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """Return pre-activation outputs of every layer (ReLU between)."""
@@ -254,7 +255,7 @@ class Recipe:
 
 
 class RecipeError(ValueError):
-    pass
+    code = "recipe"
 
 
 def validate_recipe(recipe: Recipe) -> None:
@@ -304,7 +305,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
             entry["final_loss"] = hist["loss"][-1] if hist["loss"] else None
             entry["train_accuracy"] = net.accuracy(data.x, data.y)
         elif phase.kind is PhaseKind.PRUNE:
-            pattern = phase.pattern or NMPattern(2, 4)
+            pattern = phase.pattern or PATTERN_24
             retained = lost = 0.0
             for i, w in enumerate(net.weights):
                 res = prune_magnitude(DenseMatrix(w.astype(np.float32), FP32), pattern)
@@ -349,6 +350,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 #
 # Retrain phases inherit the repeated phase's schedule; any schedule keys they
 # declare must agree with it (validate_recipe compares the two schedules).
+# Any other section, or a key that its section does not take, is rejected.
 
 _SCHEDULE_KEYS = {
     "epochs": int,
@@ -356,43 +358,55 @@ _SCHEDULE_KEYS = {
     "batch_size": int,
     "momentum": float,
     "weight_decay": float,
+    "lr_decay_epochs": lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
     "lr_decay_factor": float,
     "seed": int,
 }
+_PHASE_KEYS = {"kind": PhaseKind, "pattern": NMPattern.parse, "repeats": str, **_SCHEDULE_KEYS}
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, keys: dict) -> dict:
+    """Every key of ``section``, converted by its entry in ``keys``."""
+    out = {}
+    for key, text in cp[section].items():
+        if key not in keys:
+            raise RecipeError(f"[{section}]: unknown key {key!r}")
+        try:
+            out[key] = keys[key](text)
+        except ValueError as exc:
+            raise RecipeError(f"[{section}] {key}: {exc}") from exc
+    return out
 
 
 def parse_recipe(text: str) -> Recipe:
-    cp = configparser.ConfigParser()
-    cp.read_file(io.StringIO(text))
-    seed = cp.getint("recipe", "seed", fallback=0) if cp.has_section("recipe") else 0
+    """Parse and validate a recipe; any malformed recipe raises :class:`RecipeError`."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise RecipeError(f"not a recipe: {exc}") from exc
+    seed = _read_section(cp, "recipe", {"seed": int}).get("seed", 0) if cp.has_section("recipe") else 0
     phases: list[Phase] = []
-    schedules: dict[str, Schedule] = {}
     for section in cp.sections():
-        if not section.startswith("phase."):
+        if section == "recipe":
             continue
+        if not section.startswith("phase."):
+            raise RecipeError(f"unknown section [{section}]")
         name = section[len("phase.") :]
-        sec = cp[section]
-        try:
-            kind = PhaseKind(sec.get("kind", ""))
-        except ValueError:
-            raise RecipeError(f"phase {name!r}: unknown kind {sec.get('kind')!r}")
-        pattern = NMPattern.parse(sec["pattern"]) if "pattern" in sec else None
-        repeats = sec.get("repeats")
+        declared = _read_section(cp, section, _PHASE_KEYS)
+        if "kind" not in declared:
+            raise RecipeError(f"phase {name!r} needs a kind")
+        kind = declared.pop("kind")
+        pattern = declared.pop("pattern", None)
+        repeats = declared.pop("repeats", None)
         schedule = None
-        declared = {k: conv(sec[k]) for k, conv in _SCHEDULE_KEYS.items() if k in sec}
-        if "lr_decay_epochs" in sec:
-            declared["lr_decay_epochs"] = tuple(
-                int(v) for v in sec["lr_decay_epochs"].split(",") if v.strip()
-            )
         if kind is PhaseKind.RETRAIN_SPARSE and repeats:
-            base = schedules.get(repeats)  # unknown: validate_recipe rejects the phase
+            base = next((p.schedule for p in phases if p.name == repeats), None)  # None: rejected below
             schedule = None if base is None else replace(base, **declared)
         elif kind in _TRAIN_KINDS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")
             schedule = Schedule(**declared)
-        if schedule is not None:
-            schedules[name] = schedule
         phases.append(Phase(name=name, kind=kind, schedule=schedule, pattern=pattern, repeats=repeats))
     recipe = Recipe(phases=tuple(phases), seed=seed)
     validate_recipe(recipe)

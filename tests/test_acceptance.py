@@ -70,8 +70,8 @@ def test_criterion_3_spmm_equivalence(rng):
             b = random_dense(rng, k, n, fmt)
             sp = s.compress(a, pattern)
             counter = s.MultiplyAddCounter()
-            got = s.spmm(sp, b, fmt, counter=counter)
-            oracle = s.gemm_dense(a, b, fmt)
+            got = s.spmm(sp, b, counter=counter)
+            oracle = s.gemm_dense(a, b)
             assert got.data.dtype == oracle.data.dtype
             assert got.data.tobytes() == oracle.data.tobytes()
             assert counter.count == m * n * k * pattern.n // pattern.m
@@ -145,22 +145,22 @@ def test_criterion_6_permutation_correctness(rng):
         w1 = random_dense(rng, 16, 16, s.INT8)
         w2 = random_dense(rng, 8, 16, s.INT8)
         x = random_dense(rng, 16, 8, s.INT8)
-        baseline = w2.data.astype(np.int64) @ s.gemm_dense(w1, x, s.INT8).data
+        baseline = w2.data.astype(np.int64) @ s.gemm_dense(w1, x).data
         w1p = s.propagate_permutation(w1, perm)
         w2p = s.permute_columns(w2, perm)
-        permuted = w2p.data.astype(np.int64) @ s.gemm_dense(w1p, x, s.INT8).data
+        permuted = w2p.data.astype(np.int64) @ s.gemm_dense(w1p, x).data
         assert np.array_equal(permuted, baseline)
 
         # float mode: both layers through the kernel, ulp-bounded
         w1 = random_dense(rng, 16, 16, s.FP32)
         w2 = random_dense(rng, 8, 16, s.FP32)
         x = random_dense(rng, 16, 8, s.FP32)
-        hidden = s.gemm_dense(w1, x, s.FP32)
-        baseline = s.gemm_dense(w2, hidden, s.FP32)
+        hidden = s.gemm_dense(w1, x)
+        baseline = s.gemm_dense(w2, hidden)
         w1p = s.propagate_permutation(w1, perm)
         w2p = s.permute_columns(w2, perm)
-        hidden_p = s.gemm_dense(w1p, x, s.FP32)
-        permuted = s.gemm_dense(w2p, hidden_p, s.FP32)
+        hidden_p = s.gemm_dense(w1p, x)
+        permuted = s.gemm_dense(w2p, hidden_p)
         tol = s.float_tolerance(baseline, 16)
         assert np.max(np.abs(permuted.data - baseline.data)) <= tol
 

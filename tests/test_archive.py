@@ -298,6 +298,21 @@ class TestErrors:
         with pytest.raises(s.InvariantError, match="duplicate"):
             s.read_archive(path)
 
+    def test_tf32_value_below_its_mantissa_rejected(self, tmp_path, rng):
+        path = tmp_path / "t.s24t"
+        good = random_dense(rng, 2, 4, s.TF32)
+        s.write_archive(s.TensorArchive().add("w", good), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4] |= 1  # lowest mantissa bit of the last fp32 word
+        path.write_bytes(raw)
+        with pytest.raises(s.InvariantError, match="TF32"):
+            s.read_archive(path)
+        bad = good.data.copy()
+        bad.view(np.uint32)[0, 0] |= 1
+        with pytest.raises(s.InvariantError, match="TF32"):
+            s.write_archive(s.TensorArchive().add("w", s.DenseMatrix(bad, s.TF32)), path)
+        assert path.read_bytes() == raw
+
     def test_error_codes_distinct(self):
         codes = {
             s.BadMagicError.code,

@@ -384,6 +384,13 @@ class TestQuantizedSparseGemm:
         out = s.quantized_sparse_gemm(sp, b, ones, ones)
         assert np.array_equal(out, s.spmm(sp, b).data.astype(np.float64))
 
+    def test_rejects_fp16_operands(self, rng):
+        sp = s.compress(random_conforming(rng, 8, 32, s.FP16), s.PATTERN_24)
+        b = random_dense(rng, 32, 8, s.FP16)
+        ones = s.ScaleSet(s.Granularity.PER_TENSOR, np.array([1.0]))
+        with pytest.raises(s.FormatError):
+            s.quantized_sparse_gemm(sp, b, ones, ones)
+
     def test_per_row_rescaling_matches_dense_oracle(self, rng):
         a = random_conforming(rng, 8, 32, s.INT8)
         sp = s.compress(a, s.PATTERN_24)

@@ -70,6 +70,16 @@ class TestPruneCheckPipeline:
         assert "--permute" in result.stderr and "--transposable" in result.stderr
         assert not dst.exists()
 
+    def test_transposable_other_than_2_4_is_usage_error(self, runner, tmp_path, rng):
+        src = tmp_path / "w.s24t"
+        dst = tmp_path / "p.s24t"
+        write_dense(src, random_dense(rng, 8, 8, s.FP16))
+        args = ["prune", str(src), str(dst), "--transposable", "exhaustive", "--pattern", "1:2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--transposable" in result.stderr
+        assert not dst.exists()
+
 
 class TestDataErrors:
     def test_prune_non_finite_weight(self, runner, tmp_path, rng):
@@ -116,6 +126,22 @@ class TestDataErrors:
         result = runner.invoke(main, ["check", str(path), "--entry", "nope"])
         assert result.exit_code == 1
         assert "no entry named 'nope'" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    def test_calibrate_without_dense_entry(self, runner, tmp_path):
+        src = tmp_path / "m.s24t"
+        s.write_archive(s.TensorArchive().add("m", s.Mask(np.ones((1, 4), dtype=bool))), src)
+        result = runner.invoke(main, ["calibrate", str(src), str(tmp_path / "s.s24t")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[shape]: empty calibration stream")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_recipe_not_ini(self, runner, tmp_path):
+        recipe = tmp_path / "r.recipe"
+        recipe.write_text("kind = prune\n")
+        result = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[recipe]:")
         assert isinstance(result.exception, SystemExit)
 
 

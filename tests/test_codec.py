@@ -28,6 +28,11 @@ class TestConformance:
         with pytest.raises(s.ShapeError):
             s.check_conformance(a, s.PATTERN_24)
 
+    def test_underfull_mask_group_message(self):
+        with pytest.raises(s.ConformanceError, match="1 kept, 2:4 keeps 2") as exc:
+            s.Mask(np.array([[1, 1, 0, 0, 0, 0, 1, 0]], dtype=bool)).check(s.PATTERN_24)
+        assert (exc.value.row, exc.value.group) == (0, 1)
+
 
 class TestCompress:
     def test_metadata_matches_worked_example(self):
@@ -146,6 +151,31 @@ class TestDecompress:
         )
         with pytest.raises(s.MetadataError):
             s.decompress(out_of_range)
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["compress", "check_conformance", "mask_check", "prune_magnitude", "greedy", "exhaustive"],
+)
+def test_zero_row_matrix(call):
+    w = s.DenseMatrix.from_values(np.zeros((0, 8)), s.FP16)
+    if call == "compress":
+        sp = s.compress(w, s.PATTERN_24)
+        assert sp.values.shape == sp.meta.shape == (0, 4)
+        back = s.decompress(sp)
+        assert back.fmt == w.fmt and back.data.shape == (0, 8) and back.data.dtype == w.data.dtype
+    elif call == "check_conformance":
+        assert s.check_conformance(w, s.PATTERN_24, raise_on_fail=True)
+    elif call == "mask_check":
+        s.Mask(np.zeros((0, 8), dtype=bool)).check(s.PATTERN_24)
+    else:
+        if call == "prune_magnitude":
+            res = s.prune_magnitude(w, s.PATTERN_24)
+        else:
+            perm, res = s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode=call))
+            assert perm.is_identity()
+        assert res.mask.bits.shape == (0, 8)
+        assert res.retained_magnitude == res.lost_magnitude == 0.0
 
 
 class TestStorageBits:

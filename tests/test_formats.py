@@ -73,14 +73,14 @@ class TestGemmDense:
         for fmt in s.ALL_FORMATS:
             eye = s.DenseMatrix.from_values(np.eye(4), fmt)
             b = random_dense(rng, 4, 3, fmt)
-            out = s.gemm_dense(eye, b, fmt)
+            out = s.gemm_dense(eye, b)
             assert np.array_equal(out.data, b.data), fmt
 
     def test_identity_right(self, rng):
         for fmt in s.ALL_FORMATS:
             a = random_dense(rng, 3, 4, fmt)
             eye = s.DenseMatrix.from_values(np.eye(4), fmt)
-            out = s.gemm_dense(a, eye, fmt)
+            out = s.gemm_dense(a, eye)
             assert np.array_equal(out.data, a.data), fmt
 
     def test_zeros_times_ones(self):
@@ -124,18 +124,16 @@ class TestGemmDense:
 
     def test_mode_mismatch(self, rng):
         a = random_dense(rng, 2, 4, s.FP16)
-        b = random_dense(rng, 4, 2, s.FP16)
+        b = random_dense(rng, 4, 2, s.BF16)
         with pytest.raises(s.FormatError):
-            s.gemm_dense(a, b, s.BF16)
+            s.gemm_dense(a, b)
 
     def test_fp16_accumulate_rounds_each_step(self):
         # 1 + 2^-13 rounds away in a float16 accumulator but not in float32
         a = s.DenseMatrix.from_values([[1.0, 1.0]], s.FP16)
         b = s.DenseMatrix.from_values([[1.0], [2.0**-13]], s.FP16)
-        wide = s.gemm_dense(a, b, s.FP16)
-        narrow = s.gemm_dense(
-            s.DenseMatrix(a.data, s.FP16_FP16), s.DenseMatrix(b.data, s.FP16_FP16), s.FP16_FP16
-        )
+        wide = s.gemm_dense(a, b)
+        narrow = s.gemm_dense(s.DenseMatrix(a.data, s.FP16_FP16), s.DenseMatrix(b.data, s.FP16_FP16))
         assert wide.data[0, 0] == 1.0 + 2.0**-13
         assert narrow.data[0, 0] == 1.0
 
@@ -162,6 +160,24 @@ class TestGemmDense:
                         prod = np.float32(a.data[i, kk]) * np.float32(b.data[kk, j])
                         acc = acc_type(acc + acc_type(prod))
                     expect[i, j] = np.float32(acc)
-            got = s.gemm_dense(a, b, fmt).data
+            got = s.gemm_dense(a, b).data
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (m, n, k)
+
+
+def test_error_codes_distinct_and_stable():
+    codes = {
+        s.FormatError: "format",
+        s.ShapeError: "shape",
+        s.NonFiniteError: "non_finite",
+        s.ConformanceError: "conformance",
+        s.MetadataError: "metadata",
+        s.RecipeError: "recipe",
+        s.ArchiveError: "archive_error",
+        s.BadMagicError: "bad_magic",
+        s.VersionMismatchError: "version_mismatch",
+        s.TruncatedError: "truncated",
+        s.InvariantError: "invariant_violation",
+    }
+    assert {cls: cls.code for cls in codes} == codes
+    assert len(set(codes.values())) == len(codes)

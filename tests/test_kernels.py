@@ -34,8 +34,8 @@ class TestSpmm:
     def test_float_modes_bit_equal_to_dense_oracle(self, rng):
         for fmt in (s.FP16, s.BF16, s.TF32, s.FP16_FP16):
             a, sp, b = make_case(rng, 16, 8, 32, fmt)
-            oracle = s.gemm_dense(a, b, fmt)
-            got = s.spmm(sp, b, fmt)
+            oracle = s.gemm_dense(a, b)
+            got = s.spmm(sp, b)
             assert got.data.dtype == oracle.data.dtype, fmt
             assert got.data.tobytes() == oracle.data.tobytes(), fmt
 
@@ -54,8 +54,8 @@ class TestSpmm:
         bvals[:, 0] = -0.0
         bvals[::2, 1] = -0.0
         b = s.DenseMatrix.from_values(bvals, fmt)
-        got = s.spmm(sp, b, fmt).data
-        oracle = s.gemm_dense(s.decompress(sp), b, fmt).data
+        got = s.spmm(sp, b).data
+        oracle = s.gemm_dense(s.decompress(sp), b).data
         assert np.signbit(s.decompress(sp).data).any()
         assert np.array_equal(got.view(np.uint32), oracle.view(np.uint32))
         assert not np.signbit(got[:2]).any()
@@ -93,7 +93,7 @@ class TestSpmm:
                         prod = np.float32(sp.values[i, j]) * np.float32(b.data[col, c])
                         acc = acc_type(acc + acc_type(prod))
                     expect[i, c] = np.float32(acc)
-            got = s.spmm(sp, b, fmt).data
+            got = s.spmm(sp, b).data
             assert got.dtype == np.float32
             assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (m, n, k)
 
@@ -128,6 +128,21 @@ class TestSpmm:
         b = random_dense(rng, 32, 4, s.FP16)
         with pytest.raises(s.ShapeError):
             s.spmm(sp, b)
+
+    @pytest.mark.parametrize("fmt", [f for f in s.ALL_FORMATS if f.sparse_capable], ids=str)
+    @pytest.mark.parametrize("m, n", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_output_equals_dense_oracle(self, rng, fmt, m, n):
+        a, sp, b = make_case(rng, m, n, fmt.sparse_k_multiple, fmt)
+        got, oracle = s.spmm(sp, b), s.gemm_dense(a, b)
+        assert got.fmt == oracle.fmt
+        assert got.data.shape == oracle.data.shape == (m, n)
+        assert got.data.dtype == oracle.data.dtype
+
+    @pytest.mark.parametrize("b_fmt", [s.BF16, s.FP16_FP16], ids=str)
+    def test_operand_formats_must_match(self, rng, b_fmt):
+        _, sp, _ = make_case(rng, 4, 4, 16, s.FP16)
+        with pytest.raises(s.FormatError):
+            s.spmm(sp, random_dense(rng, 16, 4, b_fmt))
 
 
 class TestFlops:

@@ -12,7 +12,6 @@ def manifest(**kw):
         gemm_k=1024,
         in_channels=64,
         dtype=s.FP16,
-        phase=1,
         is_first=False,
     )
     defaults.update(kw)
@@ -229,6 +228,35 @@ class TestRecipes:
 
     def test_override_in_repeat_rejected(self):
         text = RECIPE_BASIC + "epochs = 99\n"
+        with pytest.raises(s.RecipeError):
+            s.parse_recipe(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = prune\n",
+            RECIPE_BASIC + "[phase.prune]\nkind = prune\n",
+            RECIPE_BASIC.replace("epochs = 10\n", "epochs = 10\nepochs = 11\n"),
+            RECIPE_BASIC.replace("epochs = 10", "epochs = abc"),
+            RECIPE_BASIC.replace("epochs = 10\n", "epochs = 10\nbatch_size = 0\n"),
+            RECIPE_BASIC.replace("epochs = 10", "epochs = -1"),
+            RECIPE_BASIC.replace("lr = 0.05\n", "lr = 0.05\nmomentm = 0.5\n"),
+            RECIPE_BASIC.replace("seed = 7", "sed = 7"),
+            RECIPE_BASIC.replace("[recipe]", "[recipes]"),
+        ],
+        ids=[
+            "not_ini",
+            "repeated_section",
+            "repeated_key",
+            "epochs_not_int",
+            "batch_size_zero",
+            "epochs_negative",
+            "misspelt_phase_key",
+            "misspelt_recipe_key",
+            "misspelt_section",
+        ],
+    )
+    def test_malformed_recipe_raises_recipe_error(self, text):
         with pytest.raises(s.RecipeError):
             s.parse_recipe(text)
 
