@@ -95,11 +95,16 @@ class TensorArchive:
 
 
 def _encode_values(arr: np.ndarray, elem: ElemType) -> bytes:
+    """The stored words of ``arr``; InvariantError unless they decode to it."""
+    words = arr
     if elem is ElemType.BF16:  # the upper half of each float32 word
-        arr = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
-    stored = np.ascontiguousarray(arr, dtype=STORAGE_DTYPE[elem])
-    _check_tf32(stored, elem)
-    return stored.tobytes()
+        words = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
+    raw = np.ascontiguousarray(words, dtype=STORAGE_DTYPE[elem]).tobytes()
+    back = _decode_values(raw, elem, arr.shape)
+    # the plain comparison is the cheap one; only a NaN needs equal_nan
+    if not (np.array_equal(back, arr) or np.array_equal(back, arr, equal_nan=True)):
+        raise InvariantError(f"a value is not one {elem.value} can hold, so it would not read back")
+    return raw
 
 
 def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.ndarray:
@@ -109,18 +114,14 @@ def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.nda
             f"payload is {len(raw)} bytes, expected {shape[0] * shape[1]} values of {dtype.itemsize}"
         )
     flat = np.frombuffer(raw, dtype=dtype)
-    _check_tf32(flat, elem)
+    # TF32, the one type stored wider than it is, must leave 13 low mantissa bits 0
+    if elem is ElemType.TF32 and (flat.view(np.uint32) & np.uint32(0x1FFF)).any():
+        raise InvariantError("a TF32 value has nonzero mantissa bits below its 10 explicit bits")
     if elem is ElemType.INT8:
         return flat.astype(np.int32).reshape(shape)
     if elem is ElemType.BF16:
         return (flat.astype(np.uint32) << 16).view(np.float32).reshape(shape)
     return flat.astype(np.float32).reshape(shape)
-
-
-def _check_tf32(stored: np.ndarray, elem: ElemType) -> None:
-    """TF32, the one type stored wider than it is, must leave 13 low mantissa bits 0."""
-    if elem is ElemType.TF32 and (stored.view(np.uint32) & np.uint32(0x1FFF)).any():
-        raise InvariantError("a TF32 value has nonzero mantissa bits below its 10 explicit bits")
 
 
 def pack_bit_fields(rows: np.ndarray, bits_per_field: int) -> bytes:

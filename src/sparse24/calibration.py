@@ -19,6 +19,19 @@ from .formats import INT8, DenseMatrix, ElemType, FormatError, ShapeError, requi
 from .kernels import spmm
 
 
+class ScaleError(ValueError):
+    """Scales that are not finite and positive, or of a granularity the
+    operation does not take."""
+
+    code = "scale"
+
+
+class CalibMethodError(ValueError):
+    """An unknown calibration method, or a percentile outside (0, 100]."""
+
+    code = "calib_method"
+
+
 class Granularity(Enum):
     PER_TENSOR = "per_tensor"
     PER_CHANNEL = "per_channel"
@@ -33,7 +46,7 @@ class ScaleSet:
     def __post_init__(self):
         s = np.asarray(self.scales, dtype=np.float64)
         if s.ndim != 1 or not np.all((s > 0) & (s < np.inf)):
-            raise ValueError("scales must be a 1-D array of finite positive values")
+            raise ScaleError("scales must be a 1-D array of finite positive values")
         s.setflags(write=False)
         object.__setattr__(self, "scales", s)
 
@@ -53,14 +66,17 @@ class CalibMethod:
 
     def __post_init__(self):
         if self.tag not in ("max", "entropy", "percentile"):
-            raise ValueError(f"unknown calibration method {self.tag!r}")
+            raise CalibMethodError(f"unknown calibration method {self.tag!r}")
         if self.tag == "percentile" and not 0 < self.percentile <= 100:
-            raise ValueError("percentile must be in (0, 100]")
+            raise CalibMethodError("percentile must be in (0, 100]")
 
     @classmethod
     def parse(cls, text: str) -> "CalibMethod":
         if text.startswith("percentile="):
-            return cls("percentile", float(text.split("=", 1)[1]))
+            try:
+                return cls("percentile", float(text.split("=", 1)[1]))
+            except ValueError as exc:
+                raise CalibMethodError(f"percentile must be a number, got {text!r}") from exc
         return cls(text)
 
 
@@ -248,7 +264,7 @@ def quantized_sparse_gemm(
     if a.fmt != INT8:
         raise FormatError(f"quantized sparse GEMM needs INT8 operands, got {a.fmt}")
     if scale_b.granularity is not Granularity.PER_TENSOR:
-        raise ValueError("dense operand supports per-tensor scaling only")
+        raise ScaleError("dense operand supports per-tensor scaling only")
     acc = spmm(a, b)
     sa = scale_a.per_row_of(a.rows)[:, None]
     return acc.data.astype(np.float64) * sa * scale_b.scales[0]

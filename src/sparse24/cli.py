@@ -26,9 +26,9 @@ from .workflow import DivergenceError, TinyNet, make_blobs, parse_recipe, run_re
 _FORMATS = {str(f): f for f in ALL_FORMATS}
 _FORMATS.update({f.elem.value: f for f in ALL_FORMATS if f.acc.value != "fp16"})
 
-# ValueError covers the library's data errors: archive, conformance, format,
-# shape, recipe and non-finite errors all derive from it. A usage error is a
-# click exception, which click reports itself (exit 2).
+# ValueError covers the library's data errors: every error class with a
+# `code` derives from it except DivergenceError. A usage error is a click
+# exception, which click reports itself (exit 2).
 DATA_ERRORS = (ValueError, OSError, DivergenceError)
 
 
@@ -81,21 +81,27 @@ def _hidden_sizes(text: str) -> list[int]:
 _PATTERN = click.option("--pattern", default="2:4", show_default=True, callback=_parsed_by(NMPattern.parse))
 
 
+class EntryError(ValueError):
+    """No archive entry, or more than one, fits what a command asked for."""
+
+    code = "entry"
+
+
 def _load_entry(path: str, name: str | None, want):
     arch = ar.read_archive(path)
     if name is None:
         matching = [k for k, v in arch.entries.items() if isinstance(v, want)]
         if len(matching) != 1:
-            raise ValueError(
+            raise EntryError(
                 f"{path}: need exactly one {want.__name__} entry or an explicit --entry "
                 f"(found {len(matching)})"
             )
         name = matching[0]
     if name not in arch.entries:
-        raise ValueError(f"{path}: no entry named {name!r} (--entry)")
+        raise EntryError(f"{path}: no entry named {name!r} (--entry)")
     entry = arch.entries[name]
     if not isinstance(entry, want):
-        raise ValueError(f"{path}:{name} is {type(entry).__name__}, expected {want.__name__}")
+        raise EntryError(f"{path}:{name} is {type(entry).__name__}, expected {want.__name__}")
     return name, entry
 
 

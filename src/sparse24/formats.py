@@ -106,6 +106,12 @@ class ShapeError(ValueError):
     code = "shape"
 
 
+class PatternError(ValueError):
+    """An N:M pattern with n outside (0, m), or text that is not ``N:M``."""
+
+    code = "pattern"
+
+
 class NonFiniteError(ValueError):
     """A tensor holds NaN or ±inf where only finite values have a meaning."""
 
@@ -188,7 +194,7 @@ class NMPattern:
 
     def __post_init__(self):
         if not 0 < self.n < self.m:
-            raise ValueError(f"need 0 < n < m, got {self.n}:{self.m}")
+            raise PatternError(f"need 0 < n < m, got {self.n}:{self.m}")
 
     @property
     def meta_bits(self) -> int:
@@ -205,7 +211,7 @@ class NMPattern:
     def parse(cls, text: str) -> "NMPattern":
         n, sep, m = text.partition(":")
         if not (sep and n.strip().isdigit() and m.strip().isdigit()):
-            raise ValueError(f"expected N:M, got {text!r}")
+            raise PatternError(f"expected N:M, got {text!r}")
         return cls(int(n), int(m))
 
 

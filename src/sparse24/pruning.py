@@ -15,6 +15,18 @@ from .codec import Mask
 from .formats import DenseMatrix, NMPattern, ShapeError, require_finite
 
 
+class PermutationError(ValueError):
+    """A column order that is not a bijection on [0, C)."""
+
+    code = "permutation"
+
+
+class SearchModeError(ValueError):
+    """A permutation search mode other than exhaustive or greedy."""
+
+    code = "search_mode"
+
+
 @dataclass(frozen=True)
 class PruneResult:
     mask: Mask
@@ -31,7 +43,7 @@ class Permutation:
     def __post_init__(self):
         p = np.asarray(self.perm)
         if sorted(p.tolist()) != list(range(len(p))):
-            raise ValueError("not a bijection on [0, C)")
+            raise PermutationError("not a bijection on [0, C)")
         p.setflags(write=False)
 
     @property
@@ -270,7 +282,7 @@ def find_permutation(
                 best_val, best_order = val, order
         budget.stats["swaps_used"] = budget.max_swaps - swaps_left
     else:
-        raise ValueError(f"unknown search mode {budget.mode!r}")
+        raise SearchModeError(f"unknown search mode {budget.mode!r}")
 
     perm = Permutation(best_order)
     result = prune_magnitude(permute_columns(w, perm), pattern)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -90,6 +91,8 @@ class Schedule:
 class DivergenceError(RuntimeError):
     """Loss became non-finite during training."""
 
+    code = "divergence"
+
 
 @dataclass
 class TinyNet:
@@ -138,24 +141,28 @@ class TinyNet:
             return self._loss_and_grads(x, y)
 
     def _loss_and_grads(self, x, y):
-        acts = self.forward(x)
-        logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        # each layer's input (x, then the ReLU outputs), kept for backward
+        ins = [x]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            ins.append(np.maximum(ins[-1] @ w.T + b, 0.0))
+        probs = ins[-1] @ self.weights[-1].T + self.biases[-1]
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
         n = len(x)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+        rows = np.arange(n)
+        loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300))) / n
 
-        grad_z = probs.copy()
-        grad_z[np.arange(n), y] -= 1.0
+        grad_z = probs  # softmax minus one-hot, over n
+        grad_z[rows, y] -= 1.0
         grad_z /= n
         gw, gb = [None] * len(self.weights), [None] * len(self.weights)
         for i in reversed(range(len(self.weights))):
-            inp = x if i == 0 else np.maximum(acts[i - 1], 0.0)
-            gw[i] = grad_z.T @ inp
-            gb[i] = grad_z.sum(axis=0)
+            gw[i] = grad_z.T @ ins[i]
+            gb[i] = np.add.reduce(grad_z, axis=0)
             if i > 0:
-                grad_z = (grad_z @ self.weights[i]) * (acts[i - 1] > 0)
+                grad_z = grad_z @ self.weights[i]
+                grad_z *= ins[i] > 0
         return loss, gw, gb
 
 
@@ -167,42 +174,69 @@ def train(
 ) -> tuple[TinyNet, dict]:
     """SGD with momentum; optimizer state always starts fresh.
 
-    With ``masks``, masked weights are re-zeroed after every optimizer step so
-    the sparsity pattern survives momentum and weight decay. Returns the
-    trained net and ``{"loss": [mean batch loss per epoch]}``. Accuracy is
-    left to the caller: it reads the weights without changing them, so
-    measuring it here would cost a forward pass per epoch for nothing.
+    All parameters live in one float64 vector, every layer's weights first,
+    then every bias, and each batch takes one optimizer step over the whole
+    vector. Weight decay applies to the weights only. Its term is added even
+    at zero decay, as in a per-layer loop: ``grad + 0 * w`` sets the sign of
+    a zero gradient (and so of a zero velocity) and is NaN where w is inf.
+    With ``masks`` (layer index to a mask of that layer's weight shape, else
+    :class:`ShapeError`), masked weights are re-zeroed after every step so
+    the sparsity pattern survives momentum and weight decay. Returns a new
+    net that owns its arrays and ``{"loss": [mean batch loss per epoch]}``.
+    Accuracy is left to the caller: it reads the weights without changing
+    them, so measuring it here would cost a forward pass per epoch for
+    nothing.
     """
-    net = net.clone()
-    if masks:
-        for i, mask in masks.items():
-            net.weights[i] *= mask.bits
-    vel_w = [np.zeros_like(w) for w in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
+    masks = masks or {}
+    layers = len(net.weights)
+    bad = [key for key in masks if key not in range(layers)]
+    if bad:
+        raise ShapeError(f"mask keys {bad} are not layer indices of a {layers}-layer net")
+    for i, w in enumerate(net.weights):
+        if i in masks and masks[i].bits.shape != w.shape:
+            raise ShapeError(f"mask for layer {i} has shape {masks[i].bits.shape}, its weight {w.shape}")
+
+    arrays = net.weights + net.biases
+    params = np.concatenate(arrays, axis=None, dtype=np.float64)
+    ends = np.cumsum([a.size for a in arrays])
+    views = [part.reshape(a.shape) for part, a in zip(np.split(params, ends[:-1]), arrays)]
+    trained = TinyNet(views[:layers], views[layers:])
+    nw = sum(w.size for w in net.weights)
+    weights = params[:nw]
+    if masks:  # 0/1 per weight, 1 on unmasked layers (w * 1.0 == w)
+        keep = np.concatenate(
+            [masks[i].bits if i in masks else np.ones(w.shape) for i, w in enumerate(net.weights)],
+            axis=None,
+            dtype=np.float64,
+        )
+        weights *= keep
+    vel = np.zeros_like(params)
+    grad = np.empty_like(params)
+    grad_w = grad[:nw]
     rng = np.random.default_rng(schedule.seed)
+    bs = schedule.batch_size
     history = {"loss": []}
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
         order = rng.permutation(len(data.x))
+        xs, ys = data.x[order], data.y[order]
+        starts = range(0, len(order), bs)
         epoch_loss = 0.0
-        batches = 0
-        for start in range(0, len(order), schedule.batch_size):
-            idx = order[start : start + schedule.batch_size]
-            loss, gw, gb = net.loss_and_grads(data.x[idx], data.y[idx])
-            if not np.isfinite(loss):
+        for start in starts:
+            loss, gw, gb = trained.loss_and_grads(xs[start : start + bs], ys[start : start + bs])
+            if not math.isfinite(loss):
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
             epoch_loss += loss
-            batches += 1
-            for i in range(len(net.weights)):
-                g = gw[i] + schedule.weight_decay * net.weights[i]
-                vel_w[i] = schedule.momentum * vel_w[i] - lr * g
-                net.weights[i] += vel_w[i]
-                vel_b[i] = schedule.momentum * vel_b[i] - lr * gb[i]
-                net.biases[i] += vel_b[i]
-                if masks and i in masks:
-                    net.weights[i] *= masks[i].bits
-        history["loss"].append(epoch_loss / max(batches, 1))
-    return net, history
+            np.concatenate(gw + gb, axis=None, out=grad)
+            grad_w += schedule.weight_decay * weights
+            vel *= schedule.momentum
+            grad *= lr
+            vel -= grad
+            params += vel
+            if masks:
+                weights *= keep
+        history["loss"].append(epoch_loss / max(len(starts), 1))
+    return trained.clone(), history
 
 
 # --- synthetic dataset ---

@@ -181,15 +181,18 @@ def test_criterion_7_workflow_demo(monkeypatch):
 
         # assert the sparsity pattern at every batch step of retraining
         orig = s.TinyNet.loss_and_grads
+        steps = []
 
         def checked(self, x, y):
             for i, mask in masks.items():
                 assert np.all(self.weights[i][~mask.bits] == 0.0), "mask violated mid-retrain"
+            steps.append(len(x))
             return orig(self, x, y)
 
         monkeypatch.setattr(s.TinyNet, "loss_and_grads", checked)
         sparse_net, _ = s.train(dense_net, data, sched, masks=masks)
         monkeypatch.setattr(s.TinyNet, "loss_and_grads", orig)
+        assert len(steps) == 10 * 16, "the mask check must run at every batch"
 
         for i, mask in masks.items():
             assert np.all(sparse_net.weights[i][~mask.bits] == 0.0)

@@ -298,6 +298,23 @@ class TestErrors:
         with pytest.raises(s.InvariantError, match="duplicate"):
             s.read_archive(path)
 
+    @pytest.mark.parametrize(
+        "values, fmt",
+        [
+            (np.array([[200, -300]], dtype=np.int32), s.INT8),
+            (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.BF16),
+            (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.FP16),
+        ],
+        ids=["int8", "bf16", "fp16"],
+    )
+    def test_value_its_type_cannot_hold_rejected_on_write(self, tmp_path, values, fmt):
+        # built directly, not through from_values, so nothing rounded them
+        path = tmp_path / "v.s24t"
+        for entry in (s.DenseMatrix(values, fmt), s.SparseNM(4, s.PATTERN_24, values, np.array([[0, 1]]), fmt)):
+            with pytest.raises(s.InvariantError, match="would not read back"):
+                s.write_archive(s.TensorArchive().add("w", entry), path)
+            assert not path.exists()
+
     def test_tf32_value_below_its_mantissa_rejected(self, tmp_path, rng):
         path = tmp_path / "t.s24t"
         good = random_dense(rng, 2, 4, s.TF32)

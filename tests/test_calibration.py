@@ -139,7 +139,7 @@ class TestCalibrateMax:
         assert np.all(scale.scales == 1.0)
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(s.ShapeError):
             s.calibrate([], s.CalibMethod("max"))
 
 
@@ -231,9 +231,9 @@ class TestCalibratePercentile:
         assert p99.scales[0] < mx.scales[0]
 
     def test_bad_percentile_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(s.CalibMethodError):
             s.CalibMethod("percentile", 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(s.CalibMethodError):
             s.CalibMethod("percentile", 101.0)
 
     @pytest.mark.parametrize(
@@ -309,7 +309,7 @@ class TestEntropyMatchesLoop:
 class TestScaleSet:
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
     def test_rejects_non_positive_or_non_finite(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(s.ScaleError):
             s.ScaleSet(s.Granularity.PER_ROW, np.array([0.5, bad]))
 
 
@@ -390,6 +390,13 @@ class TestQuantizedSparseGemm:
         ones = s.ScaleSet(s.Granularity.PER_TENSOR, np.array([1.0]))
         with pytest.raises(s.FormatError):
             s.quantized_sparse_gemm(sp, b, ones, ones)
+
+    def test_rejects_per_row_dense_scales(self, rng):
+        sp = s.compress(random_conforming(rng, 8, 32, s.INT8), s.PATTERN_24)
+        b = random_dense(rng, 32, 8, s.INT8)
+        ones = s.ScaleSet(s.Granularity.PER_TENSOR, np.array([1.0]))
+        with pytest.raises(s.ScaleError, match="per-tensor"):
+            s.quantized_sparse_gemm(sp, b, ones, s.ScaleSet(s.Granularity.PER_ROW, np.ones(32)))
 
     def test_per_row_rescaling_matches_dense_oracle(self, rng):
         a = random_conforming(rng, 8, 32, s.INT8)

@@ -125,7 +125,17 @@ class TestDataErrors:
         write_dense(path, random_conforming(rng, 4, 8, s.FP16))
         result = runner.invoke(main, ["check", str(path), "--entry", "nope"])
         assert result.exit_code == 1
+        assert result.stderr.startswith("error[entry]:")
         assert "no entry named 'nope'" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("entry_args, message", [([], "(found 0)"), (["--entry", "m"], "is Mask")])
+    def test_mask_only_archive(self, runner, tmp_path, entry_args, message):
+        path = tmp_path / "m.s24t"
+        s.write_archive(s.TensorArchive().add("m", s.Mask(np.ones((1, 4), dtype=bool))), path)
+        result = runner.invoke(main, ["check", str(path), *entry_args])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[entry]:") and message in result.stderr
         assert isinstance(result.exception, SystemExit)
 
     def test_calibrate_without_dense_entry(self, runner, tmp_path):
@@ -293,7 +303,7 @@ class TestDemoWorkflow:
         recipe.write_text(RECIPE.replace("lr = 0.05", "lr = 1e6"))
         result = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe)])
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: loss diverged")
+        assert result.stderr.startswith("error[divergence]: loss diverged")
         assert isinstance(result.exception, SystemExit)
 
     def test_invalid_recipe_exit_1(self, runner, tmp_path):

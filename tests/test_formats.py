@@ -5,6 +5,7 @@ import pytest
 
 import sparse24 as s
 from conftest import random_dense
+from sparse24.cli import EntryError
 from sparse24.formats import ElemType, round_array
 
 
@@ -178,6 +179,34 @@ def test_error_codes_distinct_and_stable():
         s.VersionMismatchError: "version_mismatch",
         s.TruncatedError: "truncated",
         s.InvariantError: "invariant_violation",
+        s.PatternError: "pattern",
+        s.PermutationError: "permutation",
+        s.SearchModeError: "search_mode",
+        s.ScaleError: "scale",
+        s.CalibMethodError: "calib_method",
+        s.DivergenceError: "divergence",
+        EntryError: "entry",
     }
     assert {cls: cls.code for cls in codes} == codes
     assert len(set(codes.values())) == len(codes)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: s.NMPattern(4, 4), s.PatternError),
+        (lambda: s.NMPattern.parse("2-4"), s.PatternError),
+        (lambda: s.CalibMethod("median"), s.CalibMethodError),
+        (lambda: s.CalibMethod.parse("percentile=abc"), s.CalibMethodError),
+        (
+            lambda: s.find_permutation(
+                s.DenseMatrix(np.ones((4, 8), dtype=np.float32), s.FP16), s.PATTERN_24, s.SearchBudget(mode="anneal")
+            ),
+            s.SearchModeError,
+        ),
+    ],
+    ids=["pattern_n_not_below_m", "pattern_text", "calib_method", "calib_percentile_text", "search_mode"],
+)
+def test_input_errors_carry_a_code(make, error):
+    with pytest.raises(error):
+        make()

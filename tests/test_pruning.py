@@ -345,7 +345,7 @@ class TestPropagatePermutation:
         assert np.array_equal(got.data, ref.data)
 
     def test_not_a_bijection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(s.PermutationError):
             s.Permutation(np.array([0, 0, 1]))
 
 

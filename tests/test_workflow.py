@@ -94,6 +94,123 @@ class TestTrainer:
             s.train(net, blobs, s.Schedule(epochs=20, lr=1e6))
 
 
+def reference_loss_and_grads(net, x, y):
+    """Plain backward pass from ``forward``'s pre-activations: the oracle
+    for ``TinyNet.loss_and_grads``."""
+    acts = net.forward(x)
+    logits = acts[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = len(x)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    grad_z = probs.copy()
+    grad_z[np.arange(n), y] -= 1.0
+    grad_z /= n
+    gw, gb = [None] * len(net.weights), [None] * len(net.weights)
+    for i in reversed(range(len(net.weights))):
+        inp = x if i == 0 else np.maximum(acts[i - 1], 0.0)
+        gw[i] = grad_z.T @ inp
+        gb[i] = grad_z.sum(axis=0)
+        if i > 0:
+            grad_z = (grad_z @ net.weights[i]) * (acts[i - 1] > 0)
+    return loss, gw, gb
+
+
+def reference_train(net, data, schedule, masks=None):
+    """SGD with one update per layer and array: the oracle that ``train``'s
+    flat-buffer step must match byte for byte."""
+    net = net.clone()
+    if masks:
+        for i, mask in masks.items():
+            net.weights[i] *= mask.bits
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    rng = np.random.default_rng(schedule.seed)
+    history = {"loss": []}
+    for epoch in range(schedule.epochs):
+        lr = schedule.lr_at(epoch)
+        order = rng.permutation(len(data.x))
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, len(order), schedule.batch_size):
+            idx = order[start : start + schedule.batch_size]
+            with np.errstate(all="ignore"):
+                loss, gw, gb = reference_loss_and_grads(net, data.x[idx], data.y[idx])
+            if not np.isfinite(loss):
+                raise s.DivergenceError(f"loss diverged at epoch {epoch}")
+            epoch_loss += loss
+            batches += 1
+            for i in range(len(net.weights)):
+                g = gw[i] + schedule.weight_decay * net.weights[i]
+                vel_w[i] = schedule.momentum * vel_w[i] - lr * g
+                net.weights[i] += vel_w[i]
+                vel_b[i] = schedule.momentum * vel_b[i] - lr * gb[i]
+                net.biases[i] += vel_b[i]
+                if masks and i in masks:
+                    net.weights[i] *= masks[i].bits
+        history["loss"].append(epoch_loss / max(batches, 1))
+    return net, history
+
+
+def mask_24(w):
+    return s.prune_magnitude(s.DenseMatrix(w.astype(np.float32), s.FP32), s.PATTERN_24).mask
+
+
+class TestTrainMatchesPerLayerLoop:
+    @pytest.mark.parametrize(
+        "sizes, samples, sched, masked",
+        [
+            ([16, 16, 3], 256, s.Schedule(epochs=4, lr=0.05, seed=2), ()),
+            ([16, 16, 3], 256, s.Schedule(epochs=4, lr=0.05, seed=2), (0, 1)),
+            ([16, 16, 3], 256, s.Schedule(epochs=4, lr=0.05, seed=2), (0,)),
+            (
+                [16, 16, 3],
+                256,
+                s.Schedule(epochs=5, lr=0.05, weight_decay=1e-3, lr_decay_epochs=(2, 4), lr_decay_factor=0.5),
+                (0, 1),
+            ),
+            ([16, 16, 3], 250, s.Schedule(epochs=3, lr=0.05, batch_size=32, seed=4), ()),
+            ([16, 16, 3], 256, s.Schedule(epochs=0, lr=0.05), (0, 1)),
+            ([16, 12, 8, 3], 256, s.Schedule(epochs=4, lr=0.05, seed=5), (0, 1)),
+        ],
+        ids=["dense", "masks_24", "one_layer_mask", "decay_and_milestones", "ragged_batch", "zero_epochs", "three_layers"],
+    )
+    def test_byte_identical(self, sizes, samples, sched, masked):
+        data = s.make_blobs(samples=samples, features=sizes[0], classes=sizes[-1], seed=7)
+        net = s.TinyNet.init(sizes, seed=7)
+        if masked:  # prune a trained net, so masked weights are set to both +0.0 and -0.0
+            net, _ = s.train(net, data, s.Schedule(epochs=2, lr=0.05, seed=1))
+        masks = {i: mask_24(net.weights[i]) for i in masked}
+        want, want_hist = reference_train(net, data, sched, masks)
+        got, got_hist = s.train(net, data, sched, masks)
+        for a, b in zip(want.weights + want.biases, got.weights + got.biases):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert b.base is None  # the returned net owns its arrays
+        assert np.array(want_hist["loss"]).tobytes() == np.array(got_hist["loss"]).tobytes()
+        if masked and sched.epochs:
+            assert any(np.signbit(want.weights[i][~masks[i].bits]).any() for i in masked)
+
+    def test_divergence_at_the_same_epoch(self, net, blobs):
+        sched = s.Schedule(epochs=20, lr=1e3)
+        with pytest.raises(s.DivergenceError) as want:
+            reference_train(net, blobs, sched)
+        with pytest.raises(s.DivergenceError) as got:
+            s.train(net, blobs, sched)
+        assert str(got.value) == str(want.value) == "loss diverged at epoch 7"
+
+    def test_loss_and_grads_byte_identical(self, rng):
+        for sizes in ([4, 4, 2], [9, 7, 5, 3]):
+            net = s.TinyNet.init(sizes, seed=3)
+            x = rng.standard_normal((11, sizes[0]))
+            y = rng.integers(0, sizes[-1], 11)
+            want = reference_loss_and_grads(net, x, y)
+            got = net.loss_and_grads(x, y)
+            assert want[0] == got[0]
+            for a, b in zip(want[1] + want[2], got[1] + got[2]):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(5)
@@ -134,6 +251,13 @@ class TestMaskedRetraining:
         out, _ = s.train(net, blobs, sched, masks=masks)
         for i, mask in masks.items():
             assert np.all(out.weights[i][~mask.bits] == 0.0)
+
+    @pytest.mark.parametrize("bad", ["transposed", "key_not_a_layer"])
+    def test_misfit_mask_rejected(self, net, blobs, bad):
+        w = net.weights[1]  # (3, 16)
+        masks = {1: s.Mask(np.ones(w.shape[::-1], dtype=bool))} if bad == "transposed" else {5: mask_24(w)}
+        with pytest.raises(s.ShapeError):
+            s.train(net, blobs, s.Schedule(epochs=1, lr=0.05), masks=masks)
 
     def test_schedule_descriptor_byte_identity(self):
         a = s.Schedule(epochs=10, lr=0.05, seed=3)
