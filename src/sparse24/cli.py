@@ -27,13 +27,14 @@ _FORMATS = {str(f): f for f in ALL_FORMATS}
 _FORMATS.update({f.elem.value: f for f in ALL_FORMATS if f.acc.value != "fp16"})
 
 # ValueError covers the library's data errors: every error class with a
-# `code` derives from it except DivergenceError. A usage error is a click
+# `code` derives from it except DivergenceError. An OSError (a file that cannot
+# be opened or written) reports the code "io". A usage error is a click
 # exception, which click reports itself (exit 2).
 DATA_ERRORS = (ValueError, OSError, DivergenceError)
 
 
 def _fail(exc: BaseException) -> None:
-    code = getattr(exc, "code", None)
+    code = "io" if isinstance(exc, OSError) else getattr(exc, "code", None)
     prefix = f"error[{code}]" if code else "error"
     click.echo(f"{prefix}: {exc}", err=True)
     sys.exit(1)
@@ -230,7 +231,8 @@ def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
     """Wall-clock sparse-vs-dense comparison; CSV on stdout.
 
     The speedup column is measured against the gemm_dense emulation oracle on
-    this CPU, not against real sparse hardware.
+    this CPU, not against real sparse hardware; floor_ns times numpy matmul on
+    the pruned dense matrix.
     """
     report = run_bench(sizes, _FORMATS[fmt_name], repeats=repeats, pattern=pattern, seed=seed)
     click.echo(report.to_csv(), nl=False)

@@ -97,18 +97,22 @@ class SparseNM:
             raise MetadataError(
                 f"expected {self.groups_per_row * p.n} kept columns, got {self.cols_kept}"
             )
-        grouped = self.meta.astype(np.int64).reshape(self.rows, self.groups_per_row, p.n)
+        grouped = self.meta.reshape(self.rows, self.groups_per_row, p.n)
         if grouped.size:
             if grouped.min() < 0 or grouped.max() >= p.m:
                 raise MetadataError(f"metadata index out of range [0, {p.m})")
-            if p.n > 1 and not np.all(np.diff(grouped, axis=2) > 0):
+            # compared, not differenced, so an unsigned dtype cannot wrap
+            if not np.all(grouped[..., :-1] < grouped[..., 1:]):
                 raise MetadataError("metadata indices not strictly increasing within group")
+
+    def group_starts(self) -> np.ndarray:
+        """Original column of the group each kept column belongs to, shape (C*n/m,)."""
+        p = self.pattern
+        return np.repeat(np.arange(self.groups_per_row) * p.m, p.n)
 
     def column_indices(self) -> np.ndarray:
         """Original column index of every kept value, shape (R, C*n/m)."""
-        p = self.pattern
-        base = np.repeat(np.arange(self.groups_per_row) * p.m, p.n)
-        return base[None, :] + self.meta
+        return self.group_starts()[None, :] + self.meta
 
 
 def check_conformance(a: DenseMatrix, pattern: NMPattern, raise_on_fail: bool = False) -> bool:

@@ -241,6 +241,13 @@ def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return _accumulate(a.data.T, rows_t, a.fmt, b)
 
 
+# Gather budget of one chunk of steps in _accumulate. A sweep of 64 KiB to
+# 4 MiB on 512x512 2:4 fp16 layers at batch widths 8/32/128 (Xeon, 2 MiB L2
+# per core, numpy 2.4) found 256 KiB to 1 MiB equal within noise, and smaller
+# or larger budgets slower.
+_CHUNK_BYTES = 1 << 19
+
+
 def _accumulate(
     vals_t: np.ndarray, rows_t: np.ndarray, fmt: NumericFormat, b: DenseMatrix
 ) -> DenseMatrix:
@@ -253,6 +260,15 @@ def _accumulate(
     rounds every product to fp16 before adding it; INT8/INT32 mode adds
     exactly in int64 and wraps to int32 once at the end. A zero value still
     multiplies its row, so 0 * inf in B gives NaN.
+
+    The products are formed a chunk of steps at a time: one ``take`` gathers
+    the chunk's rows of B into a (c, M, N) buffer, one ``multiply`` scales
+    it, and in FP16-accumulate mode one ``copyto`` rounds it to fp16. The
+    adds stay one step at a time in ascending j, so the chunking changes no
+    result bit. c is the most steps whose gathered rows fit in
+    ``_CHUNK_BYTES``, and at least 1. Every index in ``rows_t`` must lie in
+    [0, B.rows): the gather clips rather than checks, which spares numpy a
+    buffered copy.
     """
     if b.fmt != fmt:
         raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
@@ -263,13 +279,18 @@ def _accumulate(
     else:
         acc_dtype = np.float16 if fmt.acc is AccType.FP16 else np.float32
         bdat = b.data
-    out = np.zeros((rows_t.shape[1], b.cols), dtype=acc_dtype)
-    buf = np.empty(out.shape, dtype=bdat.dtype)
-    prod = np.empty_like(out) if acc_dtype is np.float16 else buf
-    for j in range(len(vals_t)):
-        np.take(bdat, rows_t[j], axis=0, out=buf)
-        np.multiply(vals_t[j][:, None], buf, out=buf)
+    steps, (rows, cols) = len(vals_t), (rows_t.shape[1], b.cols)
+    out = np.zeros((rows, cols), dtype=acc_dtype)
+    chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * bdat.itemsize)))
+    buf = np.empty((chunk, rows, cols), dtype=bdat.dtype)
+    prod = np.empty_like(buf, dtype=acc_dtype) if acc_dtype is np.float16 else buf
+    for j in range(0, steps, chunk):
+        c = min(chunk, steps - j)
+        gathered, products = buf[:c], prod[:c]
+        np.take(bdat, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
+        np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)
         if prod is not buf:
-            np.copyto(prod, buf, casting="same_kind")
-        np.add(out, prod, out=out)
+            np.copyto(products, gathered, casting="same_kind")
+        for p in products:
+            np.add(out, p, out=out)
     return DenseMatrix(_wrap_int32(out) if fmt.is_integer else out.astype(np.float32), fmt)

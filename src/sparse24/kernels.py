@@ -3,10 +3,12 @@
 The kernel gathers rows of B through the positional metadata (one gathered row
 per kept value) and never materializes the decompressed operand; the
 instrumented multiply-add counter proves it touches exactly M*N*K*n/m terms.
-Every output element adds its products in ascending original-column order of
-the kept values, in the accumulate core that :func:`gemm_dense` also runs, so
-for finite operands the result is bit-exact against ``gemm_dense`` on the
-decompressed operand in every mode.
+It gathers and scales the rows of a chunk of kept slots per numpy call, then
+adds the chunk's products one slot at a time, so every output element still
+adds its products in ascending original-column order of the kept values. That
+is the accumulate core that :func:`gemm_dense` also runs, so for finite
+operands the result is bit-exact against ``gemm_dense`` on the decompressed
+operand in every mode.
 """
 
 from __future__ import annotations
@@ -53,24 +55,27 @@ def spmm(a: SparseNM, b: DenseMatrix, *, counter: MultiplyAddCounter | None = No
 
     The mode is the operands' shared format, which must pass
     :meth:`NumericFormat.check_sparse` with K; operands of differing formats
-    raise :class:`FormatError`. Step j of one pass over the kept slots
-    gathers, for every output row, the row of B that the row's j-th kept
-    value selects, multiplies it by that value and adds the product (rounded
-    to fp16 first in FP16-accumulate mode) into the M x N accumulator. Each
-    output element thus sums its products in ascending original-column order.
-    For finite operands the result is bit-exact against :func:`gemm_dense` on
-    the decompressed operand in every mode, M = 0 and N = 0 included; a
-    pruned zero facing ±inf in B adds nothing here, where the dense reference
-    adds NaN.
+    raise :class:`FormatError`, and metadata that :meth:`SparseNM.validate`
+    rejects raises :class:`MetadataError`. Step j of one pass over the kept
+    slots gathers, for every output row, the row of B that the row's j-th
+    kept value selects, multiplies it by that value and adds the product
+    (rounded to fp16 first in FP16-accumulate mode) into the M x N
+    accumulator. The gathers and multiplies run a chunk of slots per numpy
+    call, but the adds stay one slot at a time, so each output element sums
+    its products in ascending original-column order. For finite operands the
+    result is bit-exact against :func:`gemm_dense` on the decompressed
+    operand in every mode, M = 0 and N = 0 included; a pruned zero facing
+    ±inf in B adds nothing here, where the dense reference adds NaN.
     """
     if a.cols_orig != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols_orig} vs {b.rows}")
     a.fmt.check_sparse(a.cols_orig)
+    # every row of B the metadata selects then lies in [0, K), as _accumulate requires
+    a.validate()
 
-    # one contiguous row per kept slot j: its value and its row of B, per output row
-    rows_t = np.ascontiguousarray(a.column_indices().T)
-    vals_t = np.ascontiguousarray(a.values.T)
-    out = _accumulate(vals_t, rows_t, a.fmt, b)
+    # row j of each: kept slot j's row of B and its value, per output row
+    rows_t = np.add(a.group_starts()[:, None], a.meta.T, dtype=np.intp)
+    out = _accumulate(a.values.T, rows_t, a.fmt, b)
     if counter is not None:
         counter.add(a.cols_kept * a.rows * b.cols)
     return out
@@ -97,22 +102,22 @@ class BenchRow:
     sparse_ns: int
     speedup: float
     flops_ratio: float
+    floor_ns: int
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
 
-    HEADER = "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio"
+    HEADER = "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.HEADER.split(","))
         for r in self.rows:
-            writer.writerow(
-                [r.m, r.n, r.k, r.dense_ns, r.sparse_ns, f"{r.speedup:.4f}", f"{r.flops_ratio:.4f}"]
-            )
+            speedup, flops_ratio = f"{r.speedup:.4f}", f"{r.flops_ratio:.4f}"
+            writer.writerow([r.m, r.n, r.k, r.dense_ns, r.sparse_ns, speedup, flops_ratio, r.floor_ns])
         return buf.getvalue()
 
 
@@ -128,7 +133,9 @@ def bench(
     (m/n), e.g. 2.0 for 2:4.
 
     ``speedup`` is measured against :func:`gemm_dense`, the slow emulation
-    oracle, on this CPU; it is not a claim about sparse hardware."""
+    oracle, on this CPU; it is not a claim about sparse hardware. ``floor_ns``
+    is the honest floor: numpy ``matmul`` on the pruned dense matrix, in
+    float32 with no emulated rounding."""
     rng = np.random.default_rng(seed)
     report = BenchReport()
     for shape in sizes:
@@ -140,6 +147,8 @@ def bench(
 
         dense_ns = _median_ns(lambda: gemm_dense(pruned, b), repeats)
         sparse_ns = _median_ns(lambda: spmm(sp, b), repeats)
+        dense32, b32 = pruned.data.astype(np.float32), b.data.astype(np.float32)
+        floor_ns = _median_ns(lambda: np.matmul(dense32, b32), repeats)
         report.rows.append(
             BenchRow(
                 m=shape.m,
@@ -149,6 +158,7 @@ def bench(
                 sparse_ns=sparse_ns,
                 speedup=dense_ns / sparse_ns if sparse_ns else float("inf"),
                 flops_ratio=pattern.m / pattern.n,
+                floor_ns=floor_ns,
             )
         )
     return report

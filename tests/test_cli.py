@@ -146,6 +146,14 @@ class TestDataErrors:
         assert result.stderr.startswith("error[shape]: empty calibration stream")
         assert isinstance(result.exception, SystemExit)
 
+    def test_unwritable_destination_is_io_error(self, runner, tmp_path, rng):
+        src = tmp_path / "w.s24t"
+        write_dense(src, random_conforming(rng, 4, 8, s.FP16))
+        result = runner.invoke(main, ["compress", str(src), str(tmp_path / "missing_dir" / "out.s24t")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[io]:") and "missing_dir" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
     def test_recipe_not_ini(self, runner, tmp_path):
         recipe = tmp_path / "r.recipe"
         recipe.write_text("kind = prune\n")
@@ -263,7 +271,7 @@ class TestBenchCommand:
     def test_csv_header_exact(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "16x16x32", "--repeats", "1"])
         assert result.exit_code == 0
-        assert result.stdout.splitlines()[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio"
+        assert result.stdout.splitlines()[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
 
     def test_usage_error_exit_2(self, runner):
         assert runner.invoke(main, ["bench", "--format"]).exit_code == 2

@@ -188,7 +188,8 @@ def test_error_codes_distinct_and_stable():
         EntryError: "entry",
     }
     assert {cls: cls.code for cls in codes} == codes
-    assert len(set(codes.values())) == len(codes)
+    # the CLI reports an OSError, which has no code of its own, as "io"
+    assert len(set(codes.values()) | {"io"}) == len(codes) + 1
 
 
 @pytest.mark.parametrize(

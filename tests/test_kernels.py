@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sparse24 as s
+from sparse24 import formats
 from conftest import random_conforming, random_dense
 
 
@@ -10,6 +11,133 @@ def make_case(rng, m, n, k, fmt, pattern=s.PATTERN_24):
     sp = s.compress(a, pattern)
     b = random_dense(rng, k, n, fmt)
     return a, sp, b
+
+
+def accumulate_per_step_oracle(vals_t, rows_t, fmt, b):
+    """The accumulate loop with one numpy call per step and stage: gather
+    step j's rows of B, scale them, round them (FP16-accumulate mode) and add
+    them into the accumulator, for j ascending."""
+    if fmt.is_integer:
+        acc_dtype = np.int64
+        vals_t = vals_t.astype(np.int64)
+        bdat = b.data.astype(np.int64)
+    else:
+        acc_dtype = np.float16 if fmt.acc is s.AccType.FP16 else np.float32
+        bdat = b.data
+    out = np.zeros((rows_t.shape[1], b.cols), dtype=acc_dtype)
+    buf = np.empty(out.shape, dtype=bdat.dtype)
+    prod = np.empty_like(out) if acc_dtype is np.float16 else buf
+    for j in range(len(vals_t)):
+        np.take(bdat, rows_t[j], axis=0, out=buf)
+        np.multiply(vals_t[j][:, None], buf, out=buf)
+        if prod is not buf:
+            np.copyto(prod, buf, casting="same_kind")
+        np.add(out, prod, out=out)
+    return formats._wrap_int32(out) if fmt.is_integer else out.astype(np.float32)
+
+
+def spmm_oracle(sp, b):
+    return accumulate_per_step_oracle(
+        np.ascontiguousarray(sp.values.T), np.ascontiguousarray(sp.column_indices().T), sp.fmt, b
+    )
+
+
+def gemm_dense_oracle(a, b):
+    rows_t = np.broadcast_to(np.arange(a.cols)[:, None], (a.cols, a.rows))
+    return accumulate_per_step_oracle(a.data.T, rows_t, a.fmt, b)
+
+
+SPARSE_FORMATS = [f for f in s.ALL_FORMATS if f.sparse_capable]
+
+
+def chunk_steps(fmt, m, n):
+    """Steps per chunk of formats._accumulate for an M x N output; the gather
+    buffer holds int64 in INT8 mode and float32 otherwise."""
+    itemsize = 8 if fmt.is_integer else 4
+    return max(1, formats._CHUNK_BYTES // max(1, m * n * itemsize))
+
+
+def chunk_shapes(fmt):
+    """(M, N, K) cases for the chunked loop, derived from the chunk budget:
+    one chunk holds every step; the chunk size does not divide the step
+    count; one M x N slab exceeds the budget, so each chunk is one step."""
+    itemsize = 8 if fmt.is_integer else 4
+    k = 2 * fmt.sparse_k_multiple
+    m = 16
+    # a slab of about 2/7 of the budget gives 3-step chunks, and 3 divides
+    # neither K nor its K/2 kept slots
+    n_three = formats._CHUNK_BYTES * 2 // 7 // (m * itemsize)
+    n_over = formats._CHUNK_BYTES // (m * itemsize) + 1
+    return [(m, 3, k), (m, n_three, k), (m, n_over, k)]
+
+
+class TestChunkedAccumulateMatchesPerStepLoop:
+    """Gathering and scaling a chunk of steps per numpy call leaves every
+    product and the order of the adds as in the per-step loop, so every mode
+    gives the same bytes."""
+
+    @pytest.mark.parametrize("fmt", SPARSE_FORMATS, ids=str)
+    def test_shapes_cover_the_chunk_cases(self, fmt):
+        (m1, n1, k), (m3, n3, _), (mo, no, _) = chunk_shapes(fmt)
+        slots = k // 2
+        assert chunk_steps(fmt, m1, n1) >= k  # one chunk, even for gemm_dense's K steps
+        assert chunk_steps(fmt, m3, n3) == 3 and slots % 3 and k % 3
+        assert chunk_steps(fmt, mo, no) == 1
+
+    @pytest.mark.parametrize("fmt", SPARSE_FORMATS, ids=str)
+    def test_spmm_and_gemm_dense(self, rng, fmt):
+        k0 = fmt.sparse_k_multiple
+        for m, n, k in chunk_shapes(fmt) + [(0, 5, k0), (3, 0, k0), (0, 0, k0)]:
+            a, sp, b = make_case(rng, m, n, k, fmt)
+            for got, expect in [
+                (s.spmm(sp, b).data, spmm_oracle(sp, b)),
+                (s.gemm_dense(a, b).data, gemm_dense_oracle(a, b)),
+            ]:
+                assert got.dtype == expect.dtype and got.shape == expect.shape == (m, n)
+                assert got.tobytes() == expect.tobytes(), (m, n, k)
+
+    def test_gemm_dense_fp32(self, rng):
+        for m, n, k in chunk_shapes(s.FP32):
+            a, b = random_dense(rng, m, k, s.FP32), random_dense(rng, k, n, s.FP32)
+            got, expect = s.gemm_dense(a, b).data, gemm_dense_oracle(a, b)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (m, n, k)
+
+    @pytest.mark.parametrize("fmt", s.ALL_FORMATS, ids=str)
+    def test_gemm_dense_empty_inner_dim(self, rng, fmt):
+        # K = 0: no steps, so the result is the accumulator's zeros
+        a, b = random_dense(rng, 3, 0, fmt), random_dense(rng, 0, 4, fmt)
+        got, expect = s.gemm_dense(a, b).data, gemm_dense_oracle(a, b)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes() == bytes(3 * 4 * 4)
+
+    @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.TF32, s.FP16_FP16], ids=str)
+    def test_signed_zeros(self, rng, fmt):
+        for m, n, k in chunk_shapes(fmt):
+            a, sp, b = make_case(rng, m, n, k, fmt)
+            values = sp.values.copy()
+            values[::2] = -0.0
+            values[1::3, ::2] *= np.float32(-0.0)
+            sp = s.SparseNM(k, s.PATTERN_24, values, sp.meta, fmt)
+            bvals = b.data.copy()
+            bvals[:, 0] = -0.0
+            bvals[::2, 1] = -0.0
+            b = s.DenseMatrix(bvals, fmt)
+            a = s.decompress(sp)
+            assert np.signbit(a.data).any()
+            assert s.spmm(sp, b).data.tobytes() == spmm_oracle(sp, b).tobytes()
+            assert s.gemm_dense(a, b).data.tobytes() == gemm_dense_oracle(a, b).tobytes()
+
+    def test_int8_int32_wrap(self, rng):
+        # values past the int8 range, built directly, make sums that wrap int32
+        for m, n, k in chunk_shapes(s.INT8):
+            _, sp, _ = make_case(rng, m, n, k, s.INT8)
+            values = rng.integers(2**19, 2**20, size=sp.values.shape).astype(np.int32)
+            sp = s.SparseNM(k, s.PATTERN_24, values, sp.meta, s.INT8)
+            b = s.DenseMatrix(rng.integers(2**19, 2**20, size=(k, n)).astype(np.int32), s.INT8)
+            got, expect = s.spmm(sp, b).data, spmm_oracle(sp, b)
+            assert (got < 0).any()  # positive products only: wrapped
+            assert got.dtype == expect.dtype == np.int32 and got.tobytes() == expect.tobytes()
+            a = s.decompress(sp)
+            assert s.gemm_dense(a, b).data.tobytes() == gemm_dense_oracle(a, b).tobytes()
 
 
 class TestSpmm:
@@ -138,6 +266,24 @@ class TestSpmm:
         assert got.data.shape == oracle.data.shape == (m, n)
         assert got.data.dtype == oracle.data.dtype
 
+    def test_metadata_out_of_range_rejected(self, rng):
+        _, sp, b = make_case(rng, 4, 4, 16, s.FP16)
+        meta = sp.meta.copy()
+        meta[2, 5] = 4  # past the group of 4: would select a row of the next group, or past K
+        with pytest.raises(s.MetadataError, match="out of range"):
+            s.spmm(s.SparseNM(16, s.PATTERN_24, sp.values, meta, s.FP16), b)
+
+    def test_metadata_not_increasing_rejected(self, rng):
+        # in range, so it would multiply silently, but decompress rejects it
+        _, sp, b = make_case(rng, 4, 4, 16, s.FP16)
+        meta = sp.meta.copy()
+        meta[1, 2:4] = meta[1, 2:4][::-1]
+        bad = s.SparseNM(16, s.PATTERN_24, sp.values, meta, s.FP16)
+        with pytest.raises(s.MetadataError, match="not strictly increasing"):
+            s.decompress(bad)
+        with pytest.raises(s.MetadataError, match="not strictly increasing"):
+            s.spmm(bad, b)
+
     @pytest.mark.parametrize("b_fmt", [s.BF16, s.FP16_FP16], ids=str)
     def test_operand_formats_must_match(self, rng, b_fmt):
         _, sp, _ = make_case(rng, 4, 4, 16, s.FP16)
@@ -160,11 +306,12 @@ class TestBench:
         report = s.bench([s.GemmShape(16, 16, 32), s.GemmShape(16, 16, 64)], s.INT8, repeats=2)
         csv_text = report.to_csv()
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio"
+        assert lines[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
         assert len(lines) == 3
-        for row in report.rows:
+        for row, line in zip(report.rows, lines[1:]):
             assert row.flops_ratio == 2.0
-            assert row.dense_ns > 0 and row.sparse_ns > 0
+            assert row.dense_ns > 0 and row.sparse_ns > 0 and row.floor_ns > 0
+            assert line.split(",")[-1] == str(row.floor_ns)
 
     def test_rejects_bad_k(self):
         with pytest.raises(s.ShapeError):
