@@ -16,7 +16,7 @@ Each entry:
     rows        u32
     cols        u32  (original column count for sparse entries)
     n, m        u8 each (sparse entries only)
-    granularity u8   (scale_set only: 0=per_tensor, 1=per_channel, 2=per_row)
+    granularity u8   (scale_set only: 0=per_tensor, 2=per_row; 1 is retired)
     payload_len u64, then payload bytes
 
 Payloads: dense values row-major in the element width (bf16 as raw upper-half
@@ -51,11 +51,12 @@ KIND_DENSE, KIND_SPARSE, KIND_SCALES, KIND_MASK = range(4)
 # scale sets; (rows, cols) for masks.
 _HEADERS = {KIND_DENSE: "<BBII", KIND_SPARSE: "<BBIIBB", KIND_SCALES: "<BI", KIND_MASK: "<II"}
 
-# A member's code is its index here, as numbered in the layout above.
+# A member's code is its index here, as numbered in the layout above. None
+# marks a retired code, which a reader rejects.
 _CODES = {
     "elem": (ElemType.FP32, ElemType.TF32, ElemType.FP16, ElemType.BF16, ElemType.INT8),
     "acc": (AccType.FP32, AccType.FP16, AccType.INT32),
-    "granularity": (Granularity.PER_TENSOR, Granularity.PER_CHANNEL, Granularity.PER_ROW),
+    "granularity": (Granularity.PER_TENSOR, None, Granularity.PER_ROW),
 }
 
 
@@ -161,7 +162,7 @@ def _format_codes(fmt: NumericFormat) -> tuple[int, int]:
 
 
 def _by_code(what: str, code: int):
-    if code >= len(_CODES[what]):
+    if code >= len(_CODES[what]) or _CODES[what][code] is None:
         raise InvariantError(f"unknown {what} code {code}")
     return _CODES[what][code]
 

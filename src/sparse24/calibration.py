@@ -1,9 +1,9 @@
 """INT8 calibration and symmetric quantization.
 
 Scaling is symmetric (scale only, no zero point). Granularities: one scale
-per tensor, per output channel, or per weight row; for 2-D matrices the
-channel axis is the row axis. Calibration methods: absolute max, percentile
-of |x|, and KL-divergence minimization over a clipped 2048-bin histogram.
+per tensor, or one per matrix row (for a weight, per output channel).
+Calibration methods: absolute max, percentile of |x|, and KL-divergence
+minimization over a clipped 2048-bin histogram.
 """
 
 from __future__ import annotations
@@ -34,19 +34,20 @@ class CalibMethodError(ValueError):
 
 class Granularity(Enum):
     PER_TENSOR = "per_tensor"
-    PER_CHANNEL = "per_channel"
     PER_ROW = "per_row"
 
 
 @dataclass(frozen=True)
 class ScaleSet:
     granularity: Granularity
-    scales: np.ndarray  # finite positive float64, length 1 / channels / rows
+    scales: np.ndarray  # finite positive float64, length 1 (per tensor) or rows
 
     def __post_init__(self):
         s = np.asarray(self.scales, dtype=np.float64)
         if s.ndim != 1 or not np.all((s > 0) & (s < np.inf)):
             raise ScaleError("scales must be a 1-D array of finite positive values")
+        if self.granularity is Granularity.PER_TENSOR and len(s) != 1:
+            raise ScaleError(f"a per-tensor scale set holds one scale, got {len(s)}")
         s.setflags(write=False)
         object.__setattr__(self, "scales", s)
 
@@ -93,9 +94,9 @@ def calibrate(
     """Choose quantization scales from a stream of sample tensors.
 
     A slice is the whole stream (per tensor) or one row of every sample, in
-    sample order (per channel or row). Every slice is scored in one pass:
-    max and percentile reduce along the slice axis, and entropy histograms
-    each slice and scores the histograms a block at a time with
+    sample order (per row). Every slice is scored in one pass: max and
+    percentile reduce along the slice axis, and entropy histograms each
+    slice and scores the histograms a block at a time with
     :func:`entropy_threshold`, whose chunk table shares each KL term among
     all candidate clips. A slice gets the scale it would get on its own.
 
@@ -112,14 +113,13 @@ def calibrate(
         raise ShapeError("empty calibration stream")
     for m in mats:
         require_finite(m.data, "calibration samples")
-    if granularity is Granularity.PER_TENSOR:
-        absvals = np.concatenate([np.abs(m.data).ravel().astype(np.float64) for m in mats])[None]
-    else:
-        rows = mats[0].rows
-        for m in mats:
-            if m.rows != rows:
-                raise ShapeError("per-row calibration needs identically shaped samples")
-        absvals = np.concatenate([np.abs(m.data).astype(np.float64) for m in mats], axis=1)
+    per_row = granularity is Granularity.PER_ROW
+    if per_row and any(m.rows != mats[0].rows for m in mats):
+        raise ShapeError("per-row calibration needs identically shaped samples")
+    # one row per slice: per tensor, every value of the stream in one row
+    absvals = np.concatenate(
+        [np.abs(m.data if per_row else m.data.reshape(1, -1)).astype(np.float64) for m in mats], axis=1
+    )
     amax = absvals.max(axis=1, initial=0.0)
     if method.tag == "max":
         clip = amax

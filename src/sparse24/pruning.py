@@ -42,6 +42,8 @@ class Permutation:
 
     def __post_init__(self):
         p = np.asarray(self.perm)
+        if p.ndim != 1 or p.dtype.kind not in "iu":
+            raise PermutationError(f"need a 1-D integer array, got {p.ndim}-D {p.dtype}")
         if sorted(p.tolist()) != list(range(len(p))):
             raise PermutationError("not a bijection on [0, C)")
         p.setflags(write=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -271,6 +271,8 @@ class PhaseKind(Enum):
 
 
 _TRAIN_KINDS = {PhaseKind.TRAIN_DENSE, PhaseKind.RETRAIN_SPARSE, PhaseKind.FINETUNE_SPARSE}
+# the kinds that read each optional Phase field; validate_recipe rejects it elsewhere
+_READ_BY = {"schedule": _TRAIN_KINDS, "pattern": {PhaseKind.PRUNE}, "repeats": {PhaseKind.RETRAIN_SPARSE}}
 
 
 @dataclass(frozen=True)
@@ -285,7 +287,7 @@ class Phase:
 @dataclass(frozen=True)
 class Recipe:
     phases: tuple[Phase, ...]
-    seed: int = 0
+    seed: int = 0  # read by nothing; to be removed once no caller passes it
 
 
 class RecipeError(ValueError):
@@ -293,9 +295,16 @@ class RecipeError(ValueError):
 
 
 def validate_recipe(recipe: Recipe) -> None:
-    """Enforce phase-ordering rules: exactly one prune, dense phases before
-    it, sparse phases after it, and every retrain repeating a dense phase's
-    schedule field for field."""
+    """Enforce the phase rules: each phase sets only the fields its kind
+    reads (train kinds need a schedule), exactly one prune, dense phases
+    before it, sparse phases after it, and every retrain repeating a dense
+    phase's schedule field for field."""
+    for p in recipe.phases:
+        if p.kind in _TRAIN_KINDS and p.schedule is None:
+            raise RecipeError(f"phase {p.name!r} ({p.kind.value}) needs a schedule")
+        unread = [f for f, kinds in _READ_BY.items() if p.kind not in kinds and getattr(p, f) is not None]
+        if unread:
+            raise RecipeError(f"phase {p.name!r} ({p.kind.value}) does not read {', '.join(unread)}")
     kinds = [p.kind for p in recipe.phases]
     if kinds.count(PhaseKind.PRUNE) != 1:
         raise RecipeError("recipe must contain exactly one prune phase")
@@ -318,8 +327,6 @@ def validate_recipe(recipe: Recipe) -> None:
         target = dense.get(p.repeats) if p.repeats else last_dense
         if target is None:
             raise RecipeError(f"retrain phase {p.name!r} repeats unknown phase {p.repeats!r}")
-        if p.schedule is None or target.schedule is None:
-            raise RecipeError("retrain and its paired dense phase need schedules")
         if p.schedule != target.schedule:
             raise RecipeError(
                 f"retrain phase {p.name!r} must repeat the schedule of {target.name!r} exactly"
@@ -369,8 +376,6 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 
 # --- recipe text format ---
 #
-#   [recipe]
-#   seed = 7
 #   [phase.pretrain]
 #   kind = train_dense
 #   epochs = 12
@@ -382,9 +387,10 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 #   kind = retrain_sparse
 #   repeats = pretrain
 #
-# Retrain phases inherit the repeated phase's schedule; any schedule keys they
-# declare must agree with it (validate_recipe compares the two schedules).
-# Any other section, or a key that its section does not take, is rejected.
+# Every section is a [phase.<name>] whose keys are `kind` plus the keys that
+# kind takes (_KIND_KEYS); anything else is rejected. A retrain declares no
+# schedule: it runs the schedule of the dense phase it repeats, by default
+# the last dense phase before it.
 
 _SCHEDULE_KEYS = {
     "epochs": int,
@@ -396,20 +402,20 @@ _SCHEDULE_KEYS = {
     "lr_decay_factor": float,
     "seed": int,
 }
-_PHASE_KEYS = {"kind": PhaseKind, "pattern": NMPattern.parse, "repeats": str, **_SCHEDULE_KEYS}
+_KIND_KEYS = {
+    PhaseKind.TRAIN_DENSE: _SCHEDULE_KEYS,
+    PhaseKind.FINETUNE_SPARSE: _SCHEDULE_KEYS,
+    PhaseKind.RETRAIN_SPARSE: {"repeats": str},
+    PhaseKind.PRUNE: {"pattern": NMPattern.parse},
+    PhaseKind.CALIBRATE: {},
+}
 
 
-def _read_section(cp: configparser.ConfigParser, section: str, keys: dict) -> dict:
-    """Every key of ``section``, converted by its entry in ``keys``."""
-    out = {}
-    for key, text in cp[section].items():
-        if key not in keys:
-            raise RecipeError(f"[{section}]: unknown key {key!r}")
-        try:
-            out[key] = keys[key](text)
-        except ValueError as exc:
-            raise RecipeError(f"[{section}] {key}: {exc}") from exc
-    return out
+def _convert(name: str, key: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise RecipeError(f"phase {name!r} {key}: {exc}") from exc
 
 
 def parse_recipe(text: str) -> Recipe:
@@ -419,29 +425,32 @@ def parse_recipe(text: str) -> Recipe:
         cp.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise RecipeError(f"not a recipe: {exc}") from exc
-    seed = _read_section(cp, "recipe", {"seed": int}).get("seed", 0) if cp.has_section("recipe") else 0
     phases: list[Phase] = []
     for section in cp.sections():
-        if section == "recipe":
-            continue
         if not section.startswith("phase."):
             raise RecipeError(f"unknown section [{section}]")
         name = section[len("phase.") :]
-        declared = _read_section(cp, section, _PHASE_KEYS)
-        if "kind" not in declared:
+        items = dict(cp[section])
+        if "kind" not in items:
             raise RecipeError(f"phase {name!r} needs a kind")
-        kind = declared.pop("kind")
-        pattern = declared.pop("pattern", None)
-        repeats = declared.pop("repeats", None)
+        kind = _convert(name, "kind", items.pop("kind"), PhaseKind)
+        declared = {}
+        for key, value in items.items():
+            if key not in _KIND_KEYS[kind]:
+                raise RecipeError(f"phase {name!r} ({kind.value}) does not take key {key!r}")
+            declared[key] = _convert(name, key, value, _KIND_KEYS[kind][key])
         schedule = None
-        if kind is PhaseKind.RETRAIN_SPARSE and repeats:
-            base = next((p.schedule for p in phases if p.name == repeats), None)  # None: rejected below
-            schedule = None if base is None else replace(base, **declared)
+        if kind is PhaseKind.RETRAIN_SPARSE:
+            repeats = declared.get("repeats")
+            before = [p for p in phases if p.kind is PhaseKind.TRAIN_DENSE and repeats in (None, p.name)]
+            if not before:
+                raise RecipeError(f"retrain phase {name!r} repeats no dense phase before it")
+            schedule = before[-1].schedule
         elif kind in _TRAIN_KINDS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")
             schedule = Schedule(**declared)
-        phases.append(Phase(name=name, kind=kind, schedule=schedule, pattern=pattern, repeats=repeats))
-    recipe = Recipe(phases=tuple(phases), seed=seed)
+        phases.append(Phase(name, kind, schedule, declared.get("pattern"), declared.get("repeats")))
+    recipe = Recipe(phases=tuple(phases))
     validate_recipe(recipe)
     return recipe

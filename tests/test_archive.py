@@ -50,7 +50,8 @@ class TestRoundtrip:
         arch.add("d", random_dense(rng, 4, 8, s.BF16))
         arch.add("sp", s.compress(random_conforming(rng, 4, 8, s.INT8), s.PATTERN_24))
         arch.add("m", s.Mask(rng.random((4, 9)) < 0.5))
-        arch.add("s", s.ScaleSet(s.Granularity.PER_CHANNEL, rng.random(4) + 0.1))
+        arch.add("s", s.ScaleSet(s.Granularity.PER_ROW, rng.random(4) + 0.1))
+        arch.add("t", s.ScaleSet(s.Granularity.PER_TENSOR, rng.random(1) + 0.1))
         p1 = tmp_path / "a.s24t"
         p2 = tmp_path / "b.s24t"
         s.write_archive(arch, p1)
@@ -124,7 +125,7 @@ def four_entry_archive(rng):
     arch.add("d", random_dense(rng, 4, 8, s.BF16))
     arch.add("sp", s.compress(random_conforming(rng, 4, 8, s.FP16), s.PATTERN_24))
     arch.add("m", s.Mask(rng.random((4, 9)) < 0.5))
-    arch.add("s", s.ScaleSet(s.Granularity.PER_CHANNEL, rng.random(4) + 0.1))
+    arch.add("s", s.ScaleSet(s.Granularity.PER_ROW, rng.random(4) + 0.1))
     return arch
 
 
@@ -238,6 +239,8 @@ class TestErrors:
             ("dense", 14, b"\x09", s.InvariantError),
             ("dense", 15, b"\x09", s.InvariantError),
             ("scales", 14, b"\x09", s.InvariantError),
+            ("scales", 14, b"\x01", s.InvariantError),
+            ("scales", 14, b"\x00", s.InvariantError),
             ("dense", 14, b"\x04\x00", s.InvariantError),
             ("sparse", 24, b"\x04", s.InvariantError),
             ("sparse", 20, struct.pack("<I", 6), s.InvariantError),
@@ -248,6 +251,8 @@ class TestErrors:
             "unknown_elem",
             "unknown_acc",
             "unknown_granularity",
+            "retired_granularity",
+            "per_tensor_count_2",
             "int8_with_fp32_acc",
             "n_not_below_m",
             "m_not_dividing_cols",

@@ -312,6 +312,11 @@ class TestScaleSet:
         with pytest.raises(s.ScaleError):
             s.ScaleSet(s.Granularity.PER_ROW, np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("scales", [[0.5, 2.0], []], ids=["two", "none"])
+    def test_per_tensor_holds_exactly_one_scale(self, scales):
+        with pytest.raises(s.ScaleError):
+            s.ScaleSet(s.Granularity.PER_TENSOR, np.array(scales))
+
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):

@@ -172,6 +172,7 @@ class TestUsageErrors:
         [
             (["calibrate", "{src}", "{dst}", "--method", "foo"], "--method"),
             (["calibrate", "{src}", "{dst}", "--method", "percentile=abc"], "--method"),
+            (["calibrate", "{src}", "{dst}", "--granularity", "per_channel"], "--granularity"),
             (["bench", "--format", "xyz"], "--format"),
             (["bench", "--sizes", "16x16"], "--sizes"),
             (["bench", "--sizes", "16x16x0"], "--sizes"),
@@ -185,6 +186,7 @@ class TestUsageErrors:
         ids=[
             "method_unknown",
             "method_percentile_not_a_number",
+            "granularity_retired",
             "format_unknown",
             "sizes_not_a_triple",
             "sizes_zero_dim",

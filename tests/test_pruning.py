@@ -348,6 +348,16 @@ class TestPropagatePermutation:
         with pytest.raises(s.PermutationError):
             s.Permutation(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "perm",
+        [np.array([1.0, 0.0, 3.0, 2.0], dtype=np.float32), np.array([True, False]), np.array(0)],
+        ids=["float32", "bool", "0d"],
+    )
+    def test_non_integer_or_not_1d_rejected(self, perm):
+        # float32 is the layout of the `.permutation` entry `sparse24 prune --permute` writes
+        with pytest.raises(s.PermutationError):
+            s.Permutation(perm)
+
 
 def tile_enumeration_oracle():
     """All 4x4 binary matrices with row and column sums 2, by filtering the

@@ -267,8 +267,6 @@ class TestMaskedRetraining:
 
 
 RECIPE_BASIC = """
-[recipe]
-seed = 7
 [phase.train]
 kind = train_dense
 epochs = 10
@@ -305,10 +303,25 @@ epochs = 4
 lr = 0.05
 [phase.retrain]
 kind = retrain_sparse
-epochs = 4
-lr = 0.05
 [phase.prune]
 kind = prune
+"""
+
+RECIPE_FINETUNE = """
+[phase.train]
+kind = train_dense
+epochs = 6
+lr = 0.05
+seed = 3
+[phase.prune]
+kind = prune
+[phase.retrain]
+kind = retrain_sparse
+[phase.finetune]
+kind = finetune_sparse
+epochs = 2
+lr = 0.005
+seed = 4
 """
 
 
@@ -365,8 +378,9 @@ class TestRecipes:
             RECIPE_BASIC.replace("epochs = 10\n", "epochs = 10\nbatch_size = 0\n"),
             RECIPE_BASIC.replace("epochs = 10", "epochs = -1"),
             RECIPE_BASIC.replace("lr = 0.05\n", "lr = 0.05\nmomentm = 0.5\n"),
-            RECIPE_BASIC.replace("seed = 7", "sed = 7"),
-            RECIPE_BASIC.replace("[recipe]", "[recipes]"),
+            "[recipe]\nseed = 7\n" + RECIPE_BASIC,
+            RECIPE_BASIC.replace("[phase.prune]", "[phases.prune]"),
+            RECIPE_BASIC.replace("repeats = train", "repeats = prune"),
         ],
         ids=[
             "not_ini",
@@ -376,12 +390,104 @@ class TestRecipes:
             "batch_size_zero",
             "epochs_negative",
             "misspelt_phase_key",
-            "misspelt_recipe_key",
+            "recipe_section",
             "misspelt_section",
+            "repeats_not_a_dense_phase",
         ],
     )
     def test_malformed_recipe_raises_recipe_error(self, text):
         with pytest.raises(s.RecipeError):
+            s.parse_recipe(text)
+
+    @pytest.mark.parametrize(
+        "section, key, line",
+        [
+            ("prune", "epochs", "epochs = 10"),
+            ("prune", "lr", "lr = 0.05"),
+            ("train", "pattern", "pattern = 1:4"),
+            ("train", "repeats", "repeats = train"),
+            ("retrain", "epochs", "epochs = 10"),
+            ("retrain", "seed", "seed = 3"),
+            ("retrain", "pattern", "pattern = 2:4"),
+            ("calibrate", "pattern", "pattern = 2:4"),
+            ("calibrate", "lr", "lr = 0.05"),
+        ],
+    )
+    def test_key_its_kind_does_not_take_rejected(self, section, key, line):
+        text = RECIPE_BASIC + "[phase.calibrate]\nkind = calibrate\n"
+        header = f"[phase.{section}]\n"
+        kind = text.split(header, 1)[1].split("\n", 1)[0]  # "kind = <kind>"
+        text = text.replace(header + kind, f"{header}{kind}\n{line}")
+        with pytest.raises(s.RecipeError) as exc:
+            s.parse_recipe(text)
+        message = str(exc.value)
+        assert repr(section) in message and kind.split(" = ")[1] in message and repr(key) in message
+
+    def test_retrain_runs_last_dense_schedule_without_repeats(self):
+        recipe = s.parse_recipe(RECIPE_TWO_PHASE.replace("repeats = finetune_dense\n", ""))
+        assert recipe.phases[-1].schedule == recipe.phases[1].schedule
+        assert recipe.phases[-1].repeats is None
+
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            Phase("a", PhaseKind.TRAIN_DENSE),
+            Phase("a", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1), pattern=s.PATTERN_24),
+            Phase("a", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1), repeats="a"),
+            Phase("p", PhaseKind.PRUNE, s.Schedule(4, 0.1)),
+            Phase("r", PhaseKind.RETRAIN_SPARSE),
+            Phase("r", PhaseKind.RETRAIN_SPARSE, s.Schedule(4, 0.1), pattern=s.PATTERN_24),
+            Phase("f", PhaseKind.FINETUNE_SPARSE),
+            Phase("f", PhaseKind.FINETUNE_SPARSE, s.Schedule(1, 0.1), pattern=s.PATTERN_24),
+            Phase("f", PhaseKind.FINETUNE_SPARSE, s.Schedule(1, 0.1), repeats="a"),
+            Phase("c", PhaseKind.CALIBRATE, s.Schedule(4, 0.1)),
+            Phase("c", PhaseKind.CALIBRATE, pattern=s.PATTERN_24),
+            Phase("c", PhaseKind.CALIBRATE, repeats="a"),
+        ],
+        ids=[
+            "dense_without_schedule",
+            "pattern_on_dense",
+            "repeats_on_dense",
+            "schedule_on_prune",
+            "retrain_without_schedule",
+            "pattern_on_retrain",
+            "finetune_without_schedule",
+            "pattern_on_finetune",
+            "repeats_on_finetune",
+            "schedule_on_calibrate",
+            "pattern_on_calibrate",
+            "repeats_on_calibrate",
+        ],
+    )
+    def test_validate_rejects_field_its_kind_does_not_read(self, phase):
+        phases = {
+            "a": Phase("a", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1)),
+            "p": Phase("p", PhaseKind.PRUNE, pattern=s.PATTERN_24),
+            "r": Phase("r", PhaseKind.RETRAIN_SPARSE, s.Schedule(4, 0.1), repeats="a"),
+        }
+        s.validate_recipe(s.Recipe(tuple(phases.values())))
+        phases[phase.name] = phase  # replaces a, p or r; f and c follow r
+        with pytest.raises(s.RecipeError, match=repr(phase.name)):
+            s.validate_recipe(s.Recipe(tuple(phases.values())))
+
+    def test_finetune_after_retrain_keeps_mask(self):
+        recipe = s.parse_recipe(RECIPE_FINETUNE)
+        finetune = recipe.phases[-1]
+        assert finetune.kind is PhaseKind.FINETUNE_SPARSE
+        assert finetune.schedule == s.Schedule(epochs=2, lr=0.005, seed=4)
+        assert recipe.phases[2].schedule == recipe.phases[0].schedule
+        data = s.make_blobs(samples=256, features=32, classes=4, seed=7)
+        report = s.run_recipe(recipe, s.TinyNet.init([32, 32, 4], seed=7), data)
+        assert [p["name"] for p in report["phases"]] == ["train", "prune", "retrain", "finetune"]
+        assert report["final_accuracy"] == report["phases"][-1]["train_accuracy"]
+        assert sorted(report["masks"]) == [0, 1]
+        for i, mask in report["masks"].items():
+            assert np.all(report["net"].weights[i][~mask.bits] == 0.0)
+
+    def test_finetune_before_prune_rejected(self):
+        head, train, prune, retrain, finetune = RECIPE_FINETUNE.split("\n[")
+        text = "\n[".join([head, train, finetune, prune, retrain])
+        with pytest.raises(s.RecipeError, match="after prune"):
             s.parse_recipe(text)
 
     def test_run_recipe_recovers_accuracy(self):
