@@ -142,7 +142,7 @@ def cmd_decompress(src, dst, entry):
 def cmd_check(src, pattern, entry):
     """Verify that a dense entry satisfies the N:M constraint."""
     name, dense = _load_entry(src, entry, DenseMatrix)
-    check_conformance(dense, pattern, raise_on_fail=True)
+    check_conformance(dense, pattern)
     click.echo(f"{name}: conforms to {pattern}")
 
 
@@ -150,23 +150,22 @@ def cmd_check(src, pattern, entry):
 @click.argument("src", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dst", type=click.Path(dir_okay=False))
 @_PATTERN
-@click.option("--permute", type=click.Choice(["off", "greedy", "exhaustive"]), default="off")
-@click.option("--transposable", type=click.Choice(["off", "exhaustive"]), default="off")
+@click.option("--mask", default="magnitude", show_default=True, help="How to find the mask.",
+              type=click.Choice(["magnitude", "permute-greedy", "permute-exhaustive", "transposable"]))
 @click.option("--entry", default=None)
-@click.option("--seed", default=0, show_default=True)
-def cmd_prune(src, dst, pattern, permute, transposable, entry, seed):
+@click.option("--seed", default=0, show_default=True, help="Seed of the greedy permutation search.")
+def cmd_prune(src, dst, pattern, mask, entry, seed):
     """Magnitude-prune a dense entry; optionally permute columns first or
     enforce the constraint along both rows and columns."""
-    if permute != "off" and transposable != "off":
-        raise click.UsageError("--permute and --transposable cannot be combined")
-    if transposable != "off" and pattern != PATTERN_24:
-        raise click.UsageError("--transposable supports the 2:4 pattern only")
+    if mask == "transposable" and pattern != PATTERN_24:
+        raise click.UsageError("--mask transposable supports the 2:4 pattern only")
     name, dense = _load_entry(src, entry, DenseMatrix)
     out = ar.TensorArchive()
-    if transposable != "off":
+    if mask == "transposable":
         result = find_transposable_mask(dense)
-    elif permute != "off":
-        perm, result = find_permutation(dense, pattern, SearchBudget(mode=permute, seed=seed))
+    elif mask.startswith("permute-"):
+        budget = SearchBudget(mode=mask.removeprefix("permute-"), seed=seed)
+        perm, result = find_permutation(dense, pattern, budget)
         dense = permute_columns(dense, perm)
         out.add(f"{name}.permutation", DenseMatrix(perm.perm.astype(np.float32)[None, :], FP32))
     else:

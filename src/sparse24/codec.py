@@ -39,6 +39,8 @@ class Mask:
     bits: np.ndarray  # bool, 2-D
 
     def __post_init__(self):
+        if self.bits.dtype != bool or self.bits.ndim != 2:
+            raise ShapeError(f"mask bits must be a 2-D bool array, got {self.bits.ndim}-D {self.bits.dtype}")
         self.bits.setflags(write=False)
 
     @property
@@ -74,6 +76,7 @@ class SparseNM:
     fmt: NumericFormat
 
     def __post_init__(self):
+        self.fmt.check_values(self.values)
         self.values.setflags(write=False)
         self.meta.setflags(write=False)
 
@@ -91,6 +94,9 @@ class SparseNM:
 
     def validate(self) -> None:
         p = self.pattern
+        p.check_divides(self.cols_orig)
+        if self.meta.dtype.kind not in "iu":
+            raise MetadataError(f"metadata must be integers, got {self.meta.dtype}")
         if self.values.shape != self.meta.shape:
             raise MetadataError("values/meta shape mismatch")
         if self.cols_kept != self.groups_per_row * p.n:
@@ -115,16 +121,15 @@ class SparseNM:
         return self.group_starts()[None, :] + self.meta
 
 
-def check_conformance(a: DenseMatrix, pattern: NMPattern, raise_on_fail: bool = False) -> bool:
-    """True iff every aligned group of m row elements has at most n nonzeros."""
+def check_conformance(a: DenseMatrix, pattern: NMPattern) -> None:
+    """Raise :class:`ConformanceError` unless every aligned group of m row
+    elements has at most n nonzeros."""
     pattern.check_divides(a.cols)
     nz = (a.data != 0).reshape(a.rows, a.cols // pattern.m, pattern.m)
     counts = nz.astype(np.int16) @ np.ones(pattern.m, dtype=np.int16)
-    ok = bool(np.all(counts <= pattern.n))
-    if not ok and raise_on_fail:
+    if not np.all(counts <= pattern.n):
         r, g = np.argwhere(counts > pattern.n)[0]
         raise ConformanceError(int(r), int(g), f"{counts[r, g]} nonzeros exceed the {pattern} pattern")
-    return ok
 
 
 def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
@@ -145,7 +150,7 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     zero_rank = (~nz).astype(np.int16) @ np.triu(np.ones((m, m), dtype=np.int16))
     zeros = zero_rank[:, :, -1:]
     if np.any(zeros < m - n):
-        check_conformance(a, pattern, raise_on_fail=True)
+        check_conformance(a, pattern)
     # Keep every nonzero plus the first n - nnz zeros of each group in index
     # order; row-major order of the kept flags then lists groups in order and
     # indices ascending within each group.

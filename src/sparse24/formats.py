@@ -48,6 +48,13 @@ class NumericFormat:
     def elem_bits(self) -> int:
         return 8 * STORAGE_DTYPE[self.elem].itemsize
 
+    def check_values(self, values: np.ndarray) -> None:
+        """Raise :class:`FormatError` unless ``values`` has this format's
+        in-memory dtype: int32 for INT8, float32 for every float format."""
+        want = np.int32 if self.is_integer else np.float32
+        if values.dtype != want:
+            raise FormatError(f"{self} values must be {np.dtype(want)}, got {values.dtype}")
+
     @property
     def sparse_capable(self) -> bool:
         # FP32/FP32 is the one mode with no sparse variant.
@@ -149,8 +156,9 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Row-major 2-D operand. ``data`` holds format-rounded values
-    (float32 for float formats, int32 in [-128, 127] for INT8)."""
+    """Row-major 2-D operand. ``data`` holds format-rounded values (float32
+    for float formats, int32 in [-128, 127] for INT8; another dtype raises
+    :class:`FormatError`, see :meth:`NumericFormat.check_values`)."""
 
     data: np.ndarray
     fmt: NumericFormat
@@ -158,6 +166,7 @@ class DenseMatrix:
     def __post_init__(self):
         if self.data.ndim != 2:
             raise ShapeError(f"expected 2-D data, got ndim={self.data.ndim}")
+        self.fmt.check_values(self.data)
         self.data.setflags(write=False)
 
     @property

@@ -1,14 +1,15 @@
 """Sparse x dense GEMM over the compressed operand, plus a CPU bench harness.
 
 The kernel gathers rows of B through the positional metadata (one gathered row
-per kept value) and never materializes the decompressed operand; the
-instrumented multiply-add counter proves it touches exactly M*N*K*n/m terms.
-It gathers and scales the rows of a chunk of kept slots per numpy call, then
-adds the chunk's products one slot at a time, so every output element still
-adds its products in ascending original-column order of the kept values. That
-is the accumulate core that :func:`gemm_dense` also runs, so for finite
-operands the result is bit-exact against ``gemm_dense`` on the decompressed
-operand in every mode.
+per kept value) and never materializes the decompressed operand. An optional
+multiply-add counter records cols_kept * M * N per call (M*N*K*n/m for a
+conforming operand), computed from the operand shapes rather than counted in
+the loop. The kernel gathers and scales the rows of a chunk of kept slots per
+numpy call, then adds the chunk's products one slot at a time, so every output
+element still adds its products in ascending original-column order of the
+kept values. That is the accumulate core that :func:`gemm_dense` also runs,
+so for finite operands the result is bit-exact against ``gemm_dense`` on the
+decompressed operand in every mode.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .pruning import prune_magnitude
 
 @dataclass
 class MultiplyAddCounter:
-    """Counts multiply-add operations actually issued by the kernel."""
+    """Sums the multiply-add counts :func:`spmm` records: cols_kept * M * N
+    per call, from the operand shapes."""
 
     count: int = 0
 

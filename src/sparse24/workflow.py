@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -115,15 +116,14 @@ class TinyNet:
         return TinyNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Return pre-activation outputs of every layer (ReLU between)."""
-        acts = []
+        """Return each hidden layer's ReLU output, then the logits."""
+        outs = []
         h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            acts.append(z)
-            if i < len(self.weights) - 1:
-                h = np.maximum(z, 0.0)
-        return acts
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.maximum(h @ w.T + b, 0.0)
+            outs.append(h)
+        outs.append(h @ self.weights[-1].T + self.biases[-1])
+        return outs
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[-1]
@@ -138,31 +138,25 @@ class TinyNet:
         """Softmax cross-entropy loss and analytic parameter gradients."""
         # divergence surfaces as a non-finite loss, not as numpy warnings
         with np.errstate(all="ignore"):
-            return self._loss_and_grads(x, y)
+            *hidden, probs = self.forward(x)
+            ins = [x, *hidden]  # each layer's input, kept for backward
+            probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= np.add.reduce(probs, axis=1, keepdims=True)
+            n = len(x)
+            rows = np.arange(n)
+            loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300))) / n
 
-    def _loss_and_grads(self, x, y):
-        # each layer's input (x, then the ReLU outputs), kept for backward
-        ins = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            ins.append(np.maximum(ins[-1] @ w.T + b, 0.0))
-        probs = ins[-1] @ self.weights[-1].T + self.biases[-1]
-        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= np.add.reduce(probs, axis=1, keepdims=True)
-        n = len(x)
-        rows = np.arange(n)
-        loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300))) / n
-
-        grad_z = probs  # softmax minus one-hot, over n
-        grad_z[rows, y] -= 1.0
-        grad_z /= n
-        gw, gb = [None] * len(self.weights), [None] * len(self.weights)
-        for i in reversed(range(len(self.weights))):
-            gw[i] = grad_z.T @ ins[i]
-            gb[i] = np.add.reduce(grad_z, axis=0)
-            if i > 0:
-                grad_z = grad_z @ self.weights[i]
-                grad_z *= ins[i] > 0
+            grad_z = probs  # softmax minus one-hot, over n
+            grad_z[rows, y] -= 1.0
+            grad_z /= n
+            gw, gb = [None] * len(self.weights), [None] * len(self.weights)
+            for i in reversed(range(len(self.weights))):
+                gw[i] = grad_z.T @ ins[i]
+                gb[i] = np.add.reduce(grad_z, axis=0)
+                if i > 0:
+                    grad_z = grad_z @ self.weights[i]
+                    grad_z *= ins[i] > 0
         return loss, gw, gb
 
 
@@ -294,6 +288,17 @@ class RecipeError(ValueError):
     code = "recipe"
 
 
+def _repeated_phase(phases, retrain: str, repeats: str | None) -> Phase:
+    """The dense phase whose schedule a retrain repeats: among the dense
+    phases before the prune, the one named ``repeats``, or else the last."""
+    before_prune = itertools.takewhile(lambda p: p.kind is not PhaseKind.PRUNE, phases)
+    named = [p for p in before_prune if p.kind is PhaseKind.TRAIN_DENSE and repeats in (None, p.name)]
+    if not named:
+        what = "no dense phase" if repeats is None else f"{repeats!r}, not a dense phase"
+        raise RecipeError(f"retrain phase {retrain!r} repeats {what} before prune")
+    return named[-1]
+
+
 def validate_recipe(recipe: Recipe) -> None:
     """Enforce the phase rules: each phase sets only the fields its kind
     reads (train kinds need a schedule), exactly one prune, dense phases
@@ -319,14 +324,10 @@ def validate_recipe(recipe: Recipe) -> None:
     if not any(k is PhaseKind.RETRAIN_SPARSE for k in kinds[prune_at:]):
         raise RecipeError("prune must be followed by a retrain phase")
 
-    dense = {p.name: p for p in recipe.phases if p.kind is PhaseKind.TRAIN_DENSE}
-    last_dense = [p for p in recipe.phases[:prune_at] if p.kind is PhaseKind.TRAIN_DENSE][-1]
     for p in recipe.phases:
         if p.kind is not PhaseKind.RETRAIN_SPARSE:
             continue
-        target = dense.get(p.repeats) if p.repeats else last_dense
-        if target is None:
-            raise RecipeError(f"retrain phase {p.name!r} repeats unknown phase {p.repeats!r}")
+        target = _repeated_phase(recipe.phases, p.name, p.repeats)
         if p.schedule != target.schedule:
             raise RecipeError(
                 f"retrain phase {p.name!r} must repeat the schedule of {target.name!r} exactly"
@@ -390,7 +391,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 # Every section is a [phase.<name>] whose keys are `kind` plus the keys that
 # kind takes (_KIND_KEYS); anything else is rejected. A retrain declares no
 # schedule: it runs the schedule of the dense phase it repeats, by default
-# the last dense phase before it.
+# the last dense phase before the prune.
 
 _SCHEDULE_KEYS = {
     "epochs": int,
@@ -441,11 +442,7 @@ def parse_recipe(text: str) -> Recipe:
             declared[key] = _convert(name, key, value, _KIND_KEYS[kind][key])
         schedule = None
         if kind is PhaseKind.RETRAIN_SPARSE:
-            repeats = declared.get("repeats")
-            before = [p for p in phases if p.kind is PhaseKind.TRAIN_DENSE and repeats in (None, p.name)]
-            if not before:
-                raise RecipeError(f"retrain phase {name!r} repeats no dense phase before it")
-            schedule = before[-1].schedule
+            schedule = _repeated_phase(phases, name, declared.get("repeats")).schedule
         elif kind in _TRAIN_KINDS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")

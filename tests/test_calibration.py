@@ -340,7 +340,7 @@ class TestQuantize:
         w = random_conforming(rng, 8, 16, s.FP32)
         scale = s.calibrate([w], s.CalibMethod("max"), s.Granularity.PER_ROW)
         q = s.quantize(w, scale)
-        assert s.check_conformance(q, s.PATTERN_24)
+        s.check_conformance(q, s.PATTERN_24)
 
     def test_granularity_mismatch(self, rng):
         x = random_dense(rng, 8, 8, s.FP32)
@@ -418,6 +418,6 @@ class TestQuantizedSparseGemm:
         pruned = s.apply_mask(w, s.prune_magnitude(w, s.PATTERN_24).mask)
         scale = s.calibrate([pruned], s.CalibMethod("max"), s.Granularity.PER_ROW)
         q = s.quantize(pruned, scale)
-        assert s.check_conformance(q, s.PATTERN_24)
+        s.check_conformance(q, s.PATTERN_24)
         sq = s.sparse_quantize(s.compress(pruned, s.PATTERN_24), scale)
-        assert s.check_conformance(s.decompress(sq), s.PATTERN_24)
+        s.check_conformance(s.decompress(sq), s.PATTERN_24)

@@ -46,7 +46,7 @@ class TestPruneCheckPipeline:
         src = tmp_path / "w.s24t"
         dst = tmp_path / "p.s24t"
         write_dense(src, random_dense(rng, 8, 8, s.FP16))
-        res = runner.invoke(main, ["prune", str(src), str(dst), "--permute", "exhaustive"])
+        res = runner.invoke(main, ["prune", str(src), str(dst), "--mask", "permute-exhaustive"])
         assert res.exit_code == 0
         arch = s.read_archive(dst)
         assert "w.permutation" in arch.entries
@@ -55,29 +55,19 @@ class TestPruneCheckPipeline:
         src = tmp_path / "w.s24t"
         dst = tmp_path / "p.s24t"
         write_dense(src, random_dense(rng, 8, 8, s.FP16))
-        res = runner.invoke(main, ["prune", str(src), str(dst), "--transposable", "exhaustive"])
+        res = runner.invoke(main, ["prune", str(src), str(dst), "--mask", "transposable"])
         assert res.exit_code == 0
         mask = s.read_archive(dst)["w.mask"]
         s.Mask(np.ascontiguousarray(mask.bits.T)).check(s.PATTERN_24)
-
-    def test_permute_with_transposable_is_usage_error(self, runner, tmp_path, rng):
-        src = tmp_path / "w.s24t"
-        dst = tmp_path / "p.s24t"
-        write_dense(src, random_dense(rng, 8, 8, s.FP16))
-        args = ["prune", str(src), str(dst), "--permute", "greedy", "--transposable", "exhaustive"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert "--permute" in result.stderr and "--transposable" in result.stderr
-        assert not dst.exists()
 
     def test_transposable_other_than_2_4_is_usage_error(self, runner, tmp_path, rng):
         src = tmp_path / "w.s24t"
         dst = tmp_path / "p.s24t"
         write_dense(src, random_dense(rng, 8, 8, s.FP16))
-        args = ["prune", str(src), str(dst), "--transposable", "exhaustive", "--pattern", "1:2"]
+        args = ["prune", str(src), str(dst), "--mask", "transposable", "--pattern", "1:2"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert "--transposable" in result.stderr
+        assert "--mask transposable" in result.stderr
         assert not dst.exists()
 
 

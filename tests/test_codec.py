@@ -10,17 +10,16 @@ from conftest import random_conforming, random_dense
 class TestConformance:
     def test_two_nonzeros_per_group(self):
         a = s.DenseMatrix.from_values([[5, 0, 0, -6, 0, 1, 2, 0]], s.FP32)
-        assert s.check_conformance(a, s.PATTERN_24)
+        s.check_conformance(a, s.PATTERN_24)
 
     def test_all_zero(self):
         a = s.DenseMatrix.from_values(np.zeros((3, 8)), s.FP32)
-        assert s.check_conformance(a, s.PATTERN_24)
+        s.check_conformance(a, s.PATTERN_24)
 
     def test_three_nonzeros_fails(self):
         a = s.DenseMatrix.from_values([[1, 1, 1, 0]], s.FP32)
-        assert not s.check_conformance(a, s.PATTERN_24)
         with pytest.raises(s.ConformanceError) as exc:
-            s.check_conformance(a, s.PATTERN_24, raise_on_fail=True)
+            s.check_conformance(a, s.PATTERN_24)
         assert exc.value.row == 0 and exc.value.group == 0
 
     def test_group_size_must_divide(self):
@@ -32,6 +31,17 @@ class TestConformance:
         with pytest.raises(s.ConformanceError, match="1 kept, 2:4 keeps 2") as exc:
             s.Mask(np.array([[1, 1, 0, 0, 0, 0, 1, 0]], dtype=bool)).check(s.PATTERN_24)
         assert (exc.value.row, exc.value.group) == (0, 1)
+
+
+class TestMask:
+    def test_non_bool_bits_rejected(self):
+        # a 2 would scale the weight under it wherever the mask multiplies
+        with pytest.raises(s.ShapeError):
+            s.Mask(np.array([[1, 0, 2, 0]]))
+
+    def test_one_d_bits_rejected(self):
+        with pytest.raises(s.ShapeError):
+            s.Mask(np.array([True, False, True, False])).check(s.PATTERN_24)
 
 
 class TestCompress:
@@ -152,6 +162,16 @@ class TestDecompress:
         with pytest.raises(s.MetadataError):
             s.decompress(out_of_range)
 
+    def test_float_metadata_rejected(self):
+        sp = s.SparseNM(4, s.PATTERN_24, np.ones((1, 2), np.float32), np.array([[0.0, 1.0]]), s.FP32)
+        with pytest.raises(s.MetadataError):
+            s.decompress(sp)
+
+    def test_width_not_a_multiple_of_m_rejected(self):
+        sp = s.SparseNM(10, s.PATTERN_24, np.ones((1, 4), np.float32), np.array([[0, 1, 0, 1]], np.uint8), s.FP32)
+        with pytest.raises(s.ShapeError):
+            s.decompress(sp)
+
 
 @pytest.mark.parametrize(
     "call",
@@ -165,7 +185,7 @@ def test_zero_row_matrix(call):
         back = s.decompress(sp)
         assert back.fmt == w.fmt and back.data.shape == (0, 8) and back.data.dtype == w.data.dtype
     elif call == "check_conformance":
-        assert s.check_conformance(w, s.PATTERN_24, raise_on_fail=True)
+        s.check_conformance(w, s.PATTERN_24)
     elif call == "mask_check":
         s.Mask(np.zeros((0, 8), dtype=bool)).check(s.PATTERN_24)
     else:

@@ -205,8 +205,26 @@ def test_error_codes_distinct_and_stable():
             ),
             s.SearchModeError,
         ),
+        # values must already have the format's in-memory dtype; nothing casts them
+        (lambda: s.DenseMatrix(np.array([[1 + 2**-20, 1.0]]), s.FP16), s.FormatError),
+        (lambda: s.DenseMatrix(np.array([[1.5, 1.0]], np.float32), s.INT8), s.FormatError),
+        (
+            lambda: s.SparseNM(
+                4, s.PATTERN_24, np.array([[1.5, 1.0]], np.float32), np.array([[0, 1]], np.uint8), s.INT8
+            ),
+            s.FormatError,
+        ),
     ],
-    ids=["pattern_n_not_below_m", "pattern_text", "calib_method", "calib_percentile_text", "search_mode"],
+    ids=[
+        "pattern_n_not_below_m",
+        "pattern_text",
+        "calib_method",
+        "calib_percentile_text",
+        "search_mode",
+        "float64_data",
+        "float_int8_data",
+        "float_int8_values",
+    ],
 )
 def test_input_errors_carry_a_code(make, error):
     with pytest.raises(error):

@@ -95,10 +95,12 @@ class TestTrainer:
 
 
 def reference_loss_and_grads(net, x, y):
-    """Plain backward pass from ``forward``'s pre-activations: the oracle
-    for ``TinyNet.loss_and_grads``."""
-    acts = net.forward(x)
-    logits = acts[-1]
+    """Plain forward and backward pass of its own: the oracle for
+    ``TinyNet.loss_and_grads``."""
+    ins = [x]  # each layer's input: x, then the ReLU outputs
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        ins.append(np.maximum(ins[-1] @ w.T + b, 0.0))
+    logits = ins[-1] @ net.weights[-1].T + net.biases[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -109,11 +111,10 @@ def reference_loss_and_grads(net, x, y):
     grad_z /= n
     gw, gb = [None] * len(net.weights), [None] * len(net.weights)
     for i in reversed(range(len(net.weights))):
-        inp = x if i == 0 else np.maximum(acts[i - 1], 0.0)
-        gw[i] = grad_z.T @ inp
+        gw[i] = grad_z.T @ ins[i]
         gb[i] = grad_z.sum(axis=0)
         if i > 0:
-            grad_z = (grad_z @ net.weights[i]) * (acts[i - 1] > 0)
+            grad_z = (grad_z @ net.weights[i]) * (ins[i] > 0)
     return loss, gw, gb
 
 
@@ -339,6 +340,10 @@ class TestRecipes:
         recipe = s.parse_recipe(RECIPE_TWO_PHASE)
         retrain = recipe.phases[-1]
         assert retrain.schedule == recipe.phases[1].schedule
+
+    def test_retrain_repeats_named_dense_phase_not_the_last(self):
+        recipe = s.parse_recipe(RECIPE_TWO_PHASE.replace("repeats = finetune_dense", "repeats = pretrain"))
+        assert recipe.phases[-1].schedule == recipe.phases[0].schedule != recipe.phases[1].schedule
 
     def test_retrain_before_prune_rejected(self):
         with pytest.raises(s.RecipeError):
