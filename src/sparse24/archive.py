@@ -174,6 +174,7 @@ def _encode_entry(entry: Entry) -> tuple[int, tuple, bytes]:
         fields = (*_format_codes(entry.fmt), entry.rows, entry.cols)
         return KIND_DENSE, fields, _encode_values(entry.data, entry.fmt.elem)
     if isinstance(entry, SparseNM):
+        entry.validate()
         p = entry.pattern
         values = _encode_values(entry.values, entry.fmt.elem)
         meta = pack_bit_fields(entry.meta, p.meta_bits)

@@ -11,7 +11,7 @@ import numpy as np
 from . import archive as ar
 from .calibration import CalibMethod, Granularity, calibrate
 from .codec import SparseNM, apply_mask, check_conformance, compress, decompress
-from .formats import ALL_FORMATS, FP32, PATTERN_24, DenseMatrix, GemmShape, NMPattern
+from .formats import ALL_FORMATS, FP32, PATTERN_24, DenseMatrix, FormatError, GemmShape, NMPattern
 from .kernels import bench as run_bench
 from .kernels import spmm
 from .pruning import (
@@ -23,8 +23,8 @@ from .pruning import (
 )
 from .workflow import DivergenceError, TinyNet, make_blobs, parse_recipe, run_recipe
 
-_FORMATS = {str(f): f for f in ALL_FORMATS}
-_FORMATS.update({f.elem.value: f for f in ALL_FORMATS if f.acc.value != "fp16"})
+_FORMATS = {str(f): f for f in ALL_FORMATS if f.sparse_capable}
+_FORMATS.update({f.elem.value: f for f in _FORMATS.values() if f.acc.value != "fp16"})
 
 # ValueError covers the library's data errors: every error class with a
 # `code` derives from it except DivergenceError. An OSError (a file that cannot
@@ -192,8 +192,10 @@ def cmd_spmm(a_path, b_path, c_path, a_entry, b_entry):
     _, dense = _load_entry(b_path, b_entry, DenseMatrix)
     result = spmm(sp, dense)
     # accumulator values can exceed the input element range, so the
-    # on-disk result is always FP32
+    # on-disk result is always FP32, which holds integers exactly only to 2**24
     out = DenseMatrix(result.data.astype(np.float32), FP32)
+    if not np.array_equal(out.data, result.data, equal_nan=True):
+        raise FormatError(f"spmm {name_a}: the {result.fmt.acc.value} result holds values fp32 cannot hold exactly")
     ar.write_archive(ar.TensorArchive().add("c", out), c_path)
     click.echo(f"spmm {name_a}: wrote {c_path}", err=True)
 

@@ -1,9 +1,11 @@
 """Compressed N:M storage: values plus packed positional metadata.
 
 A conforming R x C matrix compresses to R x C*n/m kept values and one
-ceil(log2 m)-bit intra-group index per kept value. Metadata is packed
-little-endian within bytes, groups in value order, low bit field first.
-This packing is a documented convention of this library, not a hardware claim.
+ceil(log2 m)-bit intra-group index per kept value. ``SparseNM`` holds the
+metadata unpacked, one index per kept value; :func:`archive.pack_bit_fields
+<sparse24.archive.pack_bit_fields>` packs it little-endian within bytes,
+groups in value order, low bit field first. This packing is a documented
+convention of this library, not a hardware claim.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ class Mask:
         return self.bits.shape[1]
 
     def check(self, pattern: NMPattern) -> None:
-        pattern.check_divides(self.cols)
-        groups = self.bits.reshape(self.rows, self.cols // pattern.m, pattern.m)
-        counts = groups.sum(axis=2)
+        counts = _group_counts(pattern.groups(self.bits))
         if not np.all(counts == pattern.n):
             r, g = np.argwhere(counts != pattern.n)[0]
             raise ConformanceError(int(r), int(g), f"{counts[r, g]} kept, {pattern} keeps {pattern.n}")
@@ -121,15 +121,26 @@ class SparseNM:
         return self.group_starts()[None, :] + self.meta
 
 
-def check_conformance(a: DenseMatrix, pattern: NMPattern) -> None:
-    """Raise :class:`ConformanceError` unless every aligned group of m row
-    elements has at most n nonzeros."""
-    pattern.check_divides(a.cols)
-    nz = (a.data != 0).reshape(a.rows, a.cols // pattern.m, pattern.m)
-    counts = nz.astype(np.int16) @ np.ones(pattern.m, dtype=np.int16)
+def _group_counts(flags: np.ndarray) -> np.ndarray:
+    """The number of true flags in every group of a (rows, groups, m) array."""
+    return flags.astype(np.int16) @ np.ones(flags.shape[2], dtype=np.int16)
+
+
+def _nonzero_groups(a: DenseMatrix, pattern: NMPattern) -> np.ndarray:
+    """The nonzero flags of ``a`` in (rows, cols/m, m) groups; raises
+    :class:`ConformanceError` if a group has more than n nonzeros."""
+    nz = pattern.groups(a.data != 0)
+    counts = _group_counts(nz)
     if not np.all(counts <= pattern.n):
         r, g = np.argwhere(counts > pattern.n)[0]
         raise ConformanceError(int(r), int(g), f"{counts[r, g]} nonzeros exceed the {pattern} pattern")
+    return nz
+
+
+def check_conformance(a: DenseMatrix, pattern: NMPattern) -> None:
+    """Raise :class:`ConformanceError` unless every aligned group of m row
+    elements has at most n nonzeros."""
+    _nonzero_groups(a, pattern)
 
 
 def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
@@ -139,28 +150,14 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     kept, and remaining slots take the smallest unused indices in ascending
     order with value 0 (canonical padding).
     """
-    pattern.check_divides(a.cols)
-    n, m = pattern.n, pattern.m
-    rows, cols_kept = a.rows, a.cols // m * n
-    groups = a.data.reshape(rows, a.cols // m, m)
-    nz = groups != 0
-    # zero_rank[..., k] counts the zeros at indices <= k of each group; an
-    # int16 matmul with an upper-triangular ones matrix is faster than a
-    # cumsum along the short group axis. The last index counts all zeros.
-    zero_rank = (~nz).astype(np.int16) @ np.triu(np.ones((m, m), dtype=np.int16))
-    zeros = zero_rank[:, :, -1:]
-    if np.any(zeros < m - n):
-        check_conformance(a, pattern)
-    # Keep every nonzero plus the first n - nnz zeros of each group in index
-    # order; row-major order of the kept flags then lists groups in order and
-    # indices ascending within each group.
-    kept = nz | (zero_rank <= zeros - (m - n))
-    flat = np.flatnonzero(kept)
+    # nonzeros outrank zeros; row-major order lists each group's indices ascending
+    flat = np.flatnonzero(pattern.keep(_nonzero_groups(a, pattern)))
+    rows, cols_kept = a.rows, a.cols // pattern.m * pattern.n
     return SparseNM(
         cols_orig=a.cols,
         pattern=pattern,
-        values=groups.ravel()[flat].reshape(rows, cols_kept),
-        meta=(flat % m).astype(np.uint8).reshape(rows, cols_kept),
+        values=a.data.ravel()[flat].reshape(rows, cols_kept),
+        meta=(flat % pattern.m).astype(np.uint8).reshape(rows, cols_kept),
         fmt=a.fmt,
     )
 

@@ -9,6 +9,7 @@ Accumulation order is fixed (ascending k) so float results are bit-stable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -212,6 +213,23 @@ class NMPattern:
     def check_divides(self, cols: int) -> None:
         if cols % self.m != 0:
             raise ShapeError(f"group size {self.m} does not divide {cols} columns")
+
+    def groups(self, x: np.ndarray) -> np.ndarray:
+        """The (rows, cols/m, m) view of a 2-D array's aligned groups."""
+        self.check_divides(x.shape[1])
+        return x.reshape(x.shape[0], x.shape[1] // self.m, self.m)
+
+    def keep(self, scores: np.ndarray) -> np.ndarray:
+        """Bool mask of the n highest scores in each group; ties keep the lower index."""
+        # rank[k] counts the slots that beat slot k: k, as if every lower slot
+        # won, then one count moves for each pair k < l that the later slot wins
+        slots = [scores[..., k] for k in range(self.m)]
+        rank = [np.full(slots[0].shape, k, dtype=np.int16) for k in range(self.m)]
+        for k, l in itertools.combinations(range(self.m), 2):
+            later_wins = (slots[l] > slots[k]).view(np.int8)
+            rank[k] += later_wins
+            rank[l] -= later_wins
+        return np.stack(rank, axis=-1) < self.n
 
     def __str__(self) -> str:
         return f"{self.n}:{self.m}"

@@ -87,21 +87,9 @@ def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:
     Exact per-group optimum; equal magnitudes keep the lower index.
     Raises :class:`NonFiniteError` on NaN or ±inf weights.
     """
-    pattern.check_divides(w.cols)
-    require_finite(w.data, "weights")
-    absw = np.abs(w.data.astype(np.float64))
-    groups = absw.reshape(w.rows, w.cols // pattern.m, pattern.m)
-    # An entry is kept when fewer than n entries of its group beat it: a
-    # larger |w| beats it, and so does an equal one at a lower index. rank[k]
-    # starts at k, as if every lower slot beat slot k, and each slot pair
-    # k < l moves one count when the later slot is strictly larger.
-    slots = [groups[:, :, k] for k in range(pattern.m)]
-    rank = [np.full(slots[0].shape, k, dtype=np.int16) for k in range(pattern.m)]
-    for k, l in itertools.combinations(range(pattern.m), 2):
-        later_wins = (slots[l] > slots[k]).view(np.int8)
-        rank[k] += later_wins
-        rank[l] -= later_wins
-    return _prune_result(absw, (np.stack(rank, axis=2) < pattern.n).reshape(w.rows, w.cols))
+    absw = np.abs(pattern.groups(w.data).astype(np.float64))
+    require_finite(absw, "weights")
+    return _prune_result(absw, pattern.keep(absw).reshape(w.rows, w.cols))
 
 
 def _prune_result(absw: np.ndarray, bits: np.ndarray) -> PruneResult:
@@ -153,8 +141,7 @@ def enumerate_group_partitions(cols: int, m: int):
 
 def _top_n(absw: np.ndarray, pattern: NMPattern) -> np.ndarray:
     """The n largest magnitudes of every aligned group of m, shape (rows, groups, n)."""
-    groups = absw.reshape(absw.shape[0], absw.shape[1] // pattern.m, pattern.m)
-    return -np.partition(-groups, pattern.n - 1, axis=2)[:, :, : pattern.n]
+    return -np.partition(-pattern.groups(absw), pattern.n - 1, axis=2)[:, :, : pattern.n]
 
 
 def _retained(absw: np.ndarray, order: np.ndarray, pattern: NMPattern) -> float:

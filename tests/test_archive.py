@@ -157,17 +157,26 @@ class TestErrors:
 
     def test_invariant_violation_bad_meta(self, tmp_path, rng):
         sp = s.compress(random_conforming(rng, 1, 4, s.INT8), s.PATTERN_24)
-        bad = s.SparseNM(
-            sp.cols_orig,
-            sp.pattern,
-            sp.values,
-            np.array([[3, 1]], dtype=np.uint8),  # not increasing
-            sp.fmt,
-        )
         path = tmp_path / "bad.s24t"
-        s.write_archive(s.TensorArchive().add("w", bad), path)
+        s.write_archive(s.TensorArchive().add("w", sp), path)
+        # the write validates, so the bad metadata goes into the file's last
+        # byte, the entry's one metadata row
+        raw = path.read_bytes()[:-1] + pack_bit_fields(np.array([[3, 1]]), 2)  # not increasing
+        path.write_bytes(raw)
         with pytest.raises(s.InvariantError):
             s.read_archive(path)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [np.array([[0.0, 1.5]]), np.array([[0, 1, 2]], dtype=np.uint8)],
+        ids=["float_meta", "meta_wider_than_values"],
+    )
+    def test_malformed_metadata_rejected_on_write(self, tmp_path, meta):
+        entry = s.SparseNM(4, s.PATTERN_24, np.array([[1.0, 2.0]], dtype=np.float32), meta, s.FP32)
+        path = tmp_path / "m.s24t"
+        with pytest.raises(s.MetadataError):
+            s.write_archive(s.TensorArchive().add("w", entry), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.inf, 0.0, np.nan], ids=["inf", "zero", "nan"])
     def test_invariant_violation_bad_scale(self, tmp_path, bad):

@@ -164,6 +164,7 @@ class TestUsageErrors:
             (["calibrate", "{src}", "{dst}", "--method", "percentile=abc"], "--method"),
             (["calibrate", "{src}", "{dst}", "--granularity", "per_channel"], "--granularity"),
             (["bench", "--format", "xyz"], "--format"),
+            (["bench", "--format", "fp32"], "--format"),
             (["bench", "--sizes", "16x16"], "--sizes"),
             (["bench", "--sizes", "16x16x0"], "--sizes"),
             (["bench", "--repeats", "0"], "--repeats"),
@@ -178,6 +179,7 @@ class TestUsageErrors:
             "method_percentile_not_a_number",
             "granularity_retired",
             "format_unknown",
+            "format_without_sparse_mode",
             "sizes_not_a_triple",
             "sizes_zero_dim",
             "repeats_zero",
@@ -228,6 +230,31 @@ class TestSpmmCommand:
         assert runner.invoke(main, ["spmm", str(ap), str(bp), str(cp)]).exit_code == 0
         got = s.read_archive(cp)["c"].data
         assert np.array_equal(got, s.gemm_dense(a, b).data.astype(np.float32))
+
+    @staticmethod
+    def _int8_row_times_127s(tmp_path, k):
+        # A = [126, 127, 0, 0, 127, 127, 0, 0, ...] (1 x k, 2:4), B = all 127 (k x 1)
+        row = np.tile([127, 127, 0, 0], k // 4)
+        row[0] = 126
+        a = s.DenseMatrix.from_values(row[None, :], s.INT8)
+        paths = [tmp_path / n for n in ("a.s24t", "b.s24t", "c.s24t")]
+        s.write_archive(s.TensorArchive().add("a", s.compress(a, s.PATTERN_24)), paths[0])
+        write_dense(paths[1], s.DenseMatrix.from_values(np.full((k, 1), 127), s.INT8))
+        return int(row.sum()) * 127, paths
+
+    def test_int8_result_exact_in_fp32_is_written(self, runner, tmp_path):
+        exact, (ap, bp, cp) = self._int8_row_times_127s(tmp_path, 64)
+        result = runner.invoke(main, ["spmm", str(ap), str(bp), str(cp)])
+        assert result.exit_code == 0, result.output
+        assert s.read_archive(cp)["c"].data.tolist() == [[exact]]
+
+    def test_int8_result_fp32_cannot_hold_rejected(self, runner, tmp_path):
+        exact, (ap, bp, cp) = self._int8_row_times_127s(tmp_path, 4096)
+        assert exact == 33_032_065 and float(np.float32(exact)) != exact
+        result = runner.invoke(main, ["spmm", str(ap), str(bp), str(cp)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[format]:")
+        assert not cp.exists()
 
 
 class TestCalibrateCommand:

@@ -115,7 +115,7 @@ class TestCompressMatchesCumsum:
     # conforming matrices whose groups are then thinned at random, so every
     # nonzero count from 0 to n occurs and padding is exercised everywhere
     @pytest.mark.parametrize("fmt", s.ALL_FORMATS, ids=str)
-    @pytest.mark.parametrize("pattern", ["2:4", "1:2", "3:8", "1:4"])
+    @pytest.mark.parametrize("pattern", ["2:4", "1:2", "3:8", "1:4", "3:4", "2:8"])
     def test_same_values_and_meta_as_cumsum(self, rng, pattern, fmt):
         pattern = s.NMPattern.parse(pattern)
         for _ in range(12):
