@@ -232,8 +232,9 @@ def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
     """Wall-clock sparse-vs-dense comparison; CSV on stdout.
 
     The speedup column is measured against the gemm_dense emulation oracle on
-    this CPU, not against real sparse hardware; floor_ns times numpy matmul on
-    the pruned dense matrix.
+    this CPU, not against real sparse hardware. The honest floors: floor_ns
+    times numpy matmul on the pruned dense matrix, decompress_ns decompress
+    then matmul.
     """
     report = run_bench(sizes, _FORMATS[fmt_name], repeats=repeats, pattern=pattern, seed=seed)
     click.echo(report.to_csv(), nl=False)

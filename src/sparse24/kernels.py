@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import SparseNM, apply_mask, compress
+from .codec import SparseNM, apply_mask, compress, decompress
 from .formats import (
     PATTERN_24,
     AccType,
@@ -105,13 +105,14 @@ class BenchRow:
     speedup: float
     flops_ratio: float
     floor_ns: int
+    decompress_ns: int
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
 
-    HEADER = "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
+    HEADER = "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns,decompress_ns"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -119,7 +120,9 @@ class BenchReport:
         writer.writerow(self.HEADER.split(","))
         for r in self.rows:
             speedup, flops_ratio = f"{r.speedup:.4f}", f"{r.flops_ratio:.4f}"
-            writer.writerow([r.m, r.n, r.k, r.dense_ns, r.sparse_ns, speedup, flops_ratio, r.floor_ns])
+            writer.writerow(
+                [r.m, r.n, r.k, r.dense_ns, r.sparse_ns, speedup, flops_ratio, r.floor_ns, r.decompress_ns]
+            )
         return buf.getvalue()
 
 
@@ -135,9 +138,10 @@ def bench(
     (m/n), e.g. 2.0 for 2:4.
 
     ``speedup`` is measured against :func:`gemm_dense`, the slow emulation
-    oracle, on this CPU; it is not a claim about sparse hardware. ``floor_ns``
-    is the honest floor: numpy ``matmul`` on the pruned dense matrix, in
-    float32 with no emulated rounding."""
+    oracle, on this CPU; it is not a claim about sparse hardware. Two honest
+    floors, in float32 with no emulated rounding: ``floor_ns`` is numpy
+    ``matmul`` on the pruned dense matrix, and ``decompress_ns`` is
+    :func:`decompress` of the compressed operand, then ``matmul``."""
     rng = np.random.default_rng(seed)
     report = BenchReport()
     for shape in sizes:
@@ -151,6 +155,9 @@ def bench(
         sparse_ns = _median_ns(lambda: spmm(sp, b), repeats)
         dense32, b32 = pruned.data.astype(np.float32), b.data.astype(np.float32)
         floor_ns = _median_ns(lambda: np.matmul(dense32, b32), repeats)
+        decompress_ns = _median_ns(
+            lambda: np.matmul(decompress(sp).data.astype(np.float32), b32), repeats
+        )
         report.rows.append(
             BenchRow(
                 m=shape.m,
@@ -161,6 +168,7 @@ def bench(
                 speedup=dense_ns / sparse_ns if sparse_ns else float("inf"),
                 flops_ratio=pattern.m / pattern.n,
                 floor_ns=floor_ns,
+                decompress_ns=decompress_ns,
             )
         )
     return report

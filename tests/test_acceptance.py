@@ -299,7 +299,9 @@ def _synthetic_histogram(rng, case):
 
 
 def _kl_scan_oracle(hist):
-    """Direct exhaustive scan: materialize P and Q per candidate clip point."""
+    """Direct exhaustive scan: materialize P and Q per candidate clip point.
+    P folds the clipped tail into its last bin; Q merges the unclipped bins
+    and spreads each level over the level's nonzero bins of P."""
     hist = np.asarray(hist, dtype=np.float64)
     kls = {}
     for i in range(QUANT_BINS, len(hist) + 1):
@@ -311,13 +313,16 @@ def _kl_scan_oracle(hist):
         sizes = np.full(QUANT_BINS, base)
         sizes[:extra] += 1  # same chunking as np.array_split
         edges = np.concatenate([[0], np.cumsum(sizes)])
-        csum = np.add.reduceat(p, edges[:-1])
+        csum = np.add.reduceat(hist[:i], edges[:-1])
         cnz = np.add.reduceat((p > 0).astype(np.float64), edges[:-1])
         with np.errstate(invalid="ignore"):
             level = np.where(cnz > 0, csum / np.maximum(cnz, 1), 0.0)
         q = np.repeat(level, sizes) * (p > 0)
+        support = p > 0
+        if np.any(q[support] == 0):
+            kls[i] = np.inf  # Q is 0 where P is not
+            continue
         pn = p / p.sum()
         qn = q / q.sum()
-        support = pn > 0
         kls[i] = float(np.sum(pn[support] * np.log(pn[support] / qn[support])))
     return kls

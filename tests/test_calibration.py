@@ -7,21 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse24 as s
+from sparse24 import calibration
 from sparse24.calibration import HIST_BINS, QUANT_BINS, entropy_threshold
 from conftest import random_conforming, random_dense
 
 
 def kl_oracle(hist, candidate):
     """Naive pure-Python KL for one clip candidate, mirroring the documented
-    definition but computed with plain loops and math.fsum."""
+    definition but computed with plain loops and math.fsum. None for a
+    candidate with no mass, inf where Q is 0 and P is not."""
     i = candidate
     p = [float(v) for v in hist[:i]]
     p[-1] += float(sum(hist[i:]))
     total = math.fsum(p)
     if total == 0:
         return None
-    # merge into QUANT_BINS chunks, redistribute over nonzero source bins;
-    # chunk sizes mirror np.array_split (differ by at most one)
+    # merge the unclipped hist[:i] into QUANT_BINS chunks, spread each over
+    # the chunk's nonzero bins of P; chunk sizes mirror np.array_split
     q = [0.0] * i
     base, extra = divmod(i, QUANT_BINS)
     start = 0
@@ -31,21 +33,24 @@ def kl_oracle(hist, candidate):
         start += size
         nz = [c for c in chunk if p[c] > 0]
         if nz:
-            share = math.fsum(p[c] for c in chunk) / len(nz)
+            share = math.fsum(float(hist[c]) for c in chunk) / len(nz)
             for c in nz:
                 q[c] = share
     qtotal = math.fsum(q)
     kl = 0.0
     for pc, qc in zip(p, q):
         if pc > 0:
+            if qc == 0:
+                return math.inf
             kl += (pc / total) * math.log((pc / total) / (qc / qtotal))
     return kl
 
 
-def entropy_threshold_loop(hist):
+def entropy_kl_loop(hist):
     """The per-candidate loop that entropy_threshold replaced, kept as its
-    oracle: the result must be the same integer, so every KL must be
-    computed with the same operations in the same order."""
+    oracle: KL of candidate QUANT_BINS + c at c, +inf for a candidate with
+    no mass or where Q is 0 and P is not. entropy_threshold must compute
+    every KL with the same operations in the same order."""
     hist = np.asarray(hist, dtype=np.float64)
     nbins = len(hist)
     total = hist.sum()
@@ -54,7 +59,7 @@ def entropy_threshold_loop(hist):
         plogp = np.where(hist > 0, hist * np.log(hist), 0.0)
     cum_plogp = np.concatenate([[0.0], np.cumsum(plogp)])
     cum_nz = np.concatenate([[0], np.cumsum(hist > 0)])
-    best_i, best_kl = nbins, np.inf
+    kls = np.full(max(nbins + 1 - QUANT_BINS, 0), np.inf)
     for i in range(QUANT_BINS, nbins + 1):
         tail = total - cum[i]
         last = hist[i - 1] + tail
@@ -64,20 +69,30 @@ def entropy_threshold_loop(hist):
         sizes = np.full(QUANT_BINS, base)
         sizes[:extra] += 1
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        chunk_sum = cum[starts[1:]] - cum[starts[:-1]]
+        q_mass = cum[starts[1:]] - cum[starts[:-1]]  # Q merges the unclipped hist[:i]
+        p_mass = q_mass.copy()
+        p_mass[-1] += tail
         chunk_nz = (cum_nz[starts[1:]] - cum_nz[starts[:-1]]).astype(np.float64)
-        chunk_sum[-1] += tail
         if last > 0 and hist[i - 1] == 0:
             chunk_nz[-1] += 1
+        if p_mass[-1] > 0 and q_mass[-1] == 0:
+            continue
         sum_plogp = cum_plogp[i - 1] + (last * np.log(last) if last > 0 else 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             merged = np.where(
-                chunk_sum > 0, chunk_sum * np.log(chunk_sum / np.maximum(chunk_nz, 1)), 0.0
+                q_mass > 0, p_mass * np.log(q_mass / np.maximum(chunk_nz, 1)), 0.0
             )
         T = cum[i - 1] + last
-        kl = (sum_plogp - merged.sum()) / T
+        kls[i - QUANT_BINS] = (sum_plogp - merged.sum()) / T + np.log(cum[i] / T)
+    return kls
+
+
+def entropy_threshold_loop(hist):
+    """The clip point of entropy_kl_loop's least KL, the smallest i on a tie."""
+    best_i, best_kl = len(hist), np.inf
+    for c, kl in enumerate(entropy_kl_loop(hist)):
         if kl < best_kl:
-            best_kl, best_i = kl, i
+            best_kl, best_i = kl, QUANT_BINS + c
     return best_i
 
 
@@ -104,10 +119,18 @@ def oracle_histograms():
         spike = np.zeros(HIST_BINS)
         spike[at] = rng.integers(1, 10_000)
         cases.append(("spike", spike))
-    for n in (0, 1, 127, 128, 129, 300, 513, 2048):
+    # 1000 and 2100 bins are no multiple of QUANT_BINS; their candidates span
+    # several candidate blocks and end in a partial one
+    for n in (0, 1, 127, 128, 129, 300, 513, 2048, 1000, 2100):
         cases.append(("length", np.zeros(n)))
         cases.append(("length", rng.integers(0, 50, n).astype(np.float64)))
         cases.append(("length", np.exp(-0.5 * (np.arange(n) / rng.uniform(20, 700)) ** 2)))
+    for _ in range(5):
+        # per-row weight histograms of a 2:4-pruned 4x32 head: half zeros, so
+        # a bin-0 spike and ~17 nonzero bins
+        w = s.DenseMatrix.from_values(rng.standard_normal((4, 32)), s.FP32)
+        head = s.apply_mask(w, s.prune_magnitude(w, s.PATTERN_24).mask).data
+        cases.extend(("head_2of4", sample_histogram(np.abs(row))) for row in head)
     return cases
 
 
@@ -284,9 +307,18 @@ class TestEntropyMatchesLoop:
         wanted = [entropy_threshold_loop(hist) for _, hist in cases]
         got = [entropy_threshold(hist) for _, hist in cases]
         assert got == wanted
-        # Half-Gaussians whose answer rounding noise moved off QUANT_BINS
-        # are the cases a reordered sum would change, so the set needs some.
+        # A term gathered from the wrong chunk shows in the answer only where
+        # the minimum lies past the first candidate, so the set needs
+        # half-Gaussians whose answer is there.
         assert any(f == "half_gaussian" and w != QUANT_BINS for (f, _), w in zip(cases, wanted))
+
+    def test_every_kl_value_is_the_loops(self):
+        # The answers above pin the KL curve only near its minimum; this pins
+        # every candidate, so a reordered sum cannot pass.
+        for _, hist in oracle_histograms():
+            if len(hist) >= QUANT_BINS:
+                got = next(calibration._entropy_kl(np.asarray(hist, dtype=np.float64)[None]))
+                assert got.tobytes() == entropy_kl_loop(hist).tobytes()
 
     def test_one_2d_call_matches_per_row_calls(self):
         hists = [hist for _, hist in oracle_histograms() if len(hist) == HIST_BINS]
@@ -294,16 +326,48 @@ class TestEntropyMatchesLoop:
         got = entropy_threshold(np.stack(hists))
         assert got.tolist() == [entropy_threshold(hist) for hist in hists]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: at i = QUANT_BINS, Q equals P, so KL is 0 and the search "
-        "returns QUANT_BINS (amax/16) whatever the histogram",
-    )
+    def test_memory_of_a_block_call(self):
+        block = np.stack([hist for f, hist in oracle_histograms() if f == "head_2of4"][:4])
+        calibration._gather_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            entropy_threshold(block)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            entropy_threshold(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2**20
+        assert peak <= 2 * 2**20
+
     def test_smooth_half_gaussian_clips_past_quant_bins(self):
         # A rounding-noise answer can land a bin or two past QUANT_BINS, so
         # the bar for a real clip point is twice that.
         hist = 1e4 * np.exp(-0.5 * (np.arange(HIST_BINS) / 600.0) ** 2)
         assert entropy_threshold(hist) > 2 * QUANT_BINS
+
+
+class TestEntropyRejectsMalformed:
+    def test_negative_count(self):
+        with pytest.raises(s.HistogramError) as exc:
+            entropy_threshold(np.r_[-5.0, np.ones(HIST_BINS - 1)])
+        assert exc.value.code == "histogram"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_non_finite_count(self, bad):
+        hist = np.ones(HIST_BINS)
+        hist[1000] = bad
+        with pytest.raises(s.NonFiniteError):
+            entropy_threshold(hist)
+
+    @pytest.mark.parametrize("shape", [(2, 2, HIST_BINS), ()], ids=["3d", "0d"])
+    def test_wrong_dimensions(self, shape):
+        with pytest.raises(s.ShapeError):
+            entropy_threshold(np.ones(shape))
 
 
 class TestScaleSet:

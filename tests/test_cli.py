@@ -290,7 +290,7 @@ class TestBenchCommand:
     def test_csv_header_exact(self, runner):
         result = runner.invoke(main, ["bench", "--sizes", "16x16x32", "--repeats", "1"])
         assert result.exit_code == 0
-        assert result.stdout.splitlines()[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
+        assert result.stdout.splitlines()[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns,decompress_ns"
 
     def test_usage_error_exit_2(self, runner):
         assert runner.invoke(main, ["bench", "--format"]).exit_code == 2

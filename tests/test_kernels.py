@@ -306,12 +306,12 @@ class TestBench:
         report = s.bench([s.GemmShape(16, 16, 32), s.GemmShape(16, 16, 64)], s.INT8, repeats=2)
         csv_text = report.to_csv()
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns"
+        assert lines[0] == "M,N,K,dense_ns,sparse_ns,speedup,flops_ratio,floor_ns,decompress_ns"
         assert len(lines) == 3
         for row, line in zip(report.rows, lines[1:]):
             assert row.flops_ratio == 2.0
-            assert row.dense_ns > 0 and row.sparse_ns > 0 and row.floor_ns > 0
-            assert line.split(",")[-1] == str(row.floor_ns)
+            assert row.dense_ns > 0 and row.sparse_ns > 0 and row.floor_ns > 0 and row.decompress_ns > 0
+            assert line.split(",")[-2:] == [str(row.floor_ns), str(row.decompress_ns)]
 
     def test_rejects_bad_k(self):
         with pytest.raises(s.ShapeError):
