@@ -117,13 +117,20 @@ class SparseNM:
         return np.repeat(np.arange(self.groups_per_row) * p.m, p.n)
 
     def column_indices(self) -> np.ndarray:
-        """Original column index of every kept value, shape (R, C*n/m)."""
+        """Original column index of every kept value, shape (R, C*n/m).
+
+        Public, with :meth:`validate`, because the benchmark's tracer
+        (``perfbench/spans.py``) binds both methods by name."""
         return self.group_starts()[None, :] + self.meta
 
 
 def _group_counts(flags: np.ndarray) -> np.ndarray:
-    """The number of true flags in every group of a (rows, groups, m) array."""
-    return flags.astype(np.int16) @ np.ones(flags.shape[2], dtype=np.int16)
+    """The number of true flags in every group of a (rows, groups, m) bool
+    array, as uint8 (m <= 255). One transposing copy lays the m slots out as
+    m contiguous uint8 planes, and one reduce over the plane axis sums them."""
+    rows, groups, m = flags.shape
+    planes = np.ascontiguousarray(flags.reshape(-1, m).T).view(np.uint8)
+    return np.add.reduce(planes, axis=0, dtype=np.uint8).reshape(rows, groups)
 
 
 def _nonzero_groups(a: DenseMatrix, pattern: NMPattern) -> np.ndarray:
@@ -163,13 +170,17 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
 
 
 def decompress(s: SparseNM) -> DenseMatrix:
-    """Inverse of :func:`compress`; bit-exact."""
+    """Inverse of :func:`compress`; bit-exact.
+
+    Each kept value lands at one flat position of the row-major output, its
+    row's offset plus :meth:`SparseNM.column_indices`, through a single
+    scatter into a 1-D buffer."""
     s.validate()
-    out = np.zeros((s.rows, s.cols_orig), dtype=s.values.dtype)
-    cols = s.column_indices()
-    rows = np.broadcast_to(np.arange(s.rows)[:, None], cols.shape)
-    out[rows, cols] = s.values
-    return DenseMatrix(out, s.fmt)
+    flat = s.column_indices()
+    flat += np.arange(s.rows)[:, None] * s.cols_orig
+    out = np.zeros(s.rows * s.cols_orig, dtype=s.values.dtype)
+    out[flat] = s.values
+    return DenseMatrix(out.reshape(s.rows, s.cols_orig), s.fmt)
 
 
 def storage_bits(s: SparseNM) -> int:
@@ -183,7 +194,14 @@ def dense_storage_bits(rows: int, cols: int, fmt: NumericFormat) -> int:
 
 
 def apply_mask(a: DenseMatrix, mask: Mask) -> DenseMatrix:
-    """Elementwise product of a matrix with a kept-position mask."""
+    """Elementwise product of a matrix with a kept-position mask.
+
+    A kept element keeps every bit; a dropped one becomes +0, or +0.0
+    whatever float it held (-0.0, ±inf and NaN included). Every element is
+    one 4-byte word, float32 or int32 for INT8, so the select is one bitwise
+    AND of the words with -1 where the mask keeps and 0 where it drops."""
     if a.data.shape != mask.bits.shape:
         raise ShapeError(f"mask shape {mask.bits.shape} != matrix shape {a.data.shape}")
-    return DenseMatrix(np.where(mask.bits, a.data, a.data.dtype.type(0)), a.fmt)
+    words = np.negative(mask.bits.view(np.int8), dtype=np.int32)
+    np.bitwise_and(a.data.view(np.int32), words, out=words)
+    return DenseMatrix(words.view(a.data.dtype), a.fmt)

@@ -12,8 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .kernels import MultiplyAddCounter
 
 
 class ElemType(Enum):
@@ -115,7 +119,7 @@ class ShapeError(ValueError):
 
 
 class PatternError(ValueError):
-    """An N:M pattern with n outside (0, m), or text that is not ``N:M``."""
+    """An N:M pattern with n outside (0, m) or m above 255, or text that is not ``N:M``."""
 
     code = "pattern"
 
@@ -197,7 +201,12 @@ class GemmShape:
 
 @dataclass(frozen=True)
 class NMPattern:
-    """Keep ``n`` of every aligned group of ``m`` values along a row."""
+    """Keep ``n`` of every aligned group of ``m`` values along a row.
+
+    m is at most 255: an intra-group index is stored in one byte, both in
+    :class:`SparseNM <sparse24.codec.SparseNM>` metadata and in the S24T
+    archive's ``m`` field.
+    """
 
     n: int
     m: int
@@ -205,6 +214,8 @@ class NMPattern:
     def __post_init__(self):
         if not 0 < self.n < self.m:
             raise PatternError(f"need 0 < n < m, got {self.n}:{self.m}")
+        if self.m > 255:
+            raise PatternError(f"group size m={self.m} exceeds 255: an intra-group index is stored in one byte")
 
     @property
     def meta_bits(self) -> int:
@@ -220,16 +231,35 @@ class NMPattern:
         return x.reshape(x.shape[0], x.shape[1] // self.m, self.m)
 
     def keep(self, scores: np.ndarray) -> np.ndarray:
-        """Bool mask of the n highest scores in each group; ties keep the lower index."""
-        # rank[k] counts the slots that beat slot k: k, as if every lower slot
-        # won, then one count moves for each pair k < l that the later slot wins
-        slots = [scores[..., k] for k in range(self.m)]
-        rank = [np.full(slots[0].shape, k, dtype=np.int16) for k in range(self.m)]
-        for k, l in itertools.combinations(range(self.m), 2):
-            later_wins = (slots[l] > slots[k]).view(np.int8)
-            rank[k] += later_wins
-            rank[l] -= later_wins
-        return np.stack(rank, axis=-1) < self.n
+        """Bool mask of the n highest scores in each group; ties keep the lower index.
+
+        ``scores`` holds groups of m along its last axis, as :meth:`groups`
+        gives them; the result is a contiguous bool array of the same shape.
+        Slot k's rank counts the slots that beat it, and the slot is kept when
+        its rank is below n. One transposing copy lays the m slots out as m
+        contiguous planes, the pairwise comparisons and the ranks (uint8) run
+        plane against plane, and each plane of kept flags is copied back into
+        the group layout.
+        """
+        m = self.m
+        planes = np.ascontiguousarray(scores.reshape(-1, m).T)
+        # rank[k] starts at k, as if every lower slot won; then one count moves
+        # for each pair k < l that the later slot wins. uint8 may wrap midway,
+        # but the final rank lies in [0, m - 1] and m <= 255, so it is exact
+        rank = np.repeat(np.arange(m, dtype=np.uint8), planes.shape[1]).reshape(planes.shape)
+        later_wins = np.empty(planes.shape[1], dtype=bool)
+        wins = later_wins.view(np.uint8)
+        slots, ranks = list(planes), list(rank)
+        for k, l in itertools.combinations(range(m), 2):
+            np.greater(slots[l], slots[k], out=later_wins)
+            ranks[k] += wins
+            ranks[l] -= wins
+        del planes, slots  # freed before the result is allocated, to bound peak memory
+        kept = rank < self.n
+        out = np.empty(rank.shape[::-1], dtype=bool)
+        for k in range(m):  # plane by plane: one strided copy each, not m-long rows
+            out[:, k] = kept[k]
+        return out.reshape(scores.shape)
 
     def __str__(self) -> str:
         return f"{self.n}:{self.m}"
@@ -276,7 +306,11 @@ _CHUNK_BYTES = 1 << 19
 
 
 def _accumulate(
-    vals_t: np.ndarray, rows_t: np.ndarray, fmt: NumericFormat, b: DenseMatrix
+    vals_t: np.ndarray,
+    rows_t: np.ndarray,
+    fmt: NumericFormat,
+    b: DenseMatrix,
+    counter: MultiplyAddCounter | None = None,
 ) -> DenseMatrix:
     """The accumulate loop of both GEMMs: out[r] = sum_j vals_t[j, r] * B[rows_t[j, r]].
 
@@ -295,7 +329,8 @@ def _accumulate(
     result bit. c is the most steps whose gathered rows fit in
     ``_CHUNK_BYTES``, and at least 1. Every index in ``rows_t`` must lie in
     [0, B.rows): the gather clips rather than checks, which spares numpy a
-    buffered copy.
+    buffered copy. A ``counter`` is given c * M * N for each chunk of c steps
+    the loop runs.
     """
     if b.fmt != fmt:
         raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
@@ -313,6 +348,8 @@ def _accumulate(
     prod = np.empty_like(buf, dtype=acc_dtype) if acc_dtype is np.float16 else buf
     for j in range(0, steps, chunk):
         c = min(chunk, steps - j)
+        if counter is not None:
+            counter.add(c * rows * cols)
         gathered, products = buf[:c], prod[:c]
         np.take(bdat, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
         np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)

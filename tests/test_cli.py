@@ -169,6 +169,7 @@ class TestUsageErrors:
             (["bench", "--sizes", "16x16x0"], "--sizes"),
             (["bench", "--repeats", "0"], "--repeats"),
             (["check", "{src}", "--pattern", "3"], "--pattern"),
+            (["check", "{src}", "--pattern", "1:512"], "--pattern"),
             (["demo-workflow", "--recipe", "{recipe}", "--hidden", "0"], "--hidden"),
             (["demo-workflow", "--recipe", "{recipe}", "--features", "0"], "--features"),
             (["demo-workflow", "--recipe", "{recipe}", "--classes", "0"], "--classes"),
@@ -184,6 +185,7 @@ class TestUsageErrors:
             "sizes_zero_dim",
             "repeats_zero",
             "pattern_not_n_m",
+            "pattern_m_above_255",
             "hidden_zero",
             "features_zero",
             "classes_zero",

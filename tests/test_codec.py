@@ -239,6 +239,107 @@ def test_roundtrip_property(rows, groups, seed, fmt_idx):
     assert np.array_equal(back.data, a.data)
 
 
+GROUP_PATTERNS = ["1:2", "2:4", "1:4", "4:8", "3:16", "1:255"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pattern=st.sampled_from(GROUP_PATTERNS),
+    rows=st.integers(1, 6),
+    groups=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_counts_reported_by_both_checks(pattern, rows, groups, seed):
+    """Mask.check and check_conformance report the first offending group in
+    row-major order and its count, against flags.sum(axis=2)."""
+    p = s.NMPattern.parse(pattern)
+    rng = np.random.default_rng(seed)
+    flags = rng.random((rows, groups, p.m)) < rng.random()
+    if rng.random() < 0.3:  # some cases conform everywhere
+        flags = p.keep(rng.random(flags.shape))
+    counts = flags.sum(axis=2)
+    bits = flags.reshape(rows, groups * p.m)
+
+    off = np.argwhere(counts != p.n)
+    if len(off):
+        r, g = off[0]
+        with pytest.raises(s.ConformanceError, match=f"^row {r}, group {g}: {counts[r, g]} kept,") as exc:
+            s.Mask(bits).check(p)
+        assert (exc.value.row, exc.value.group) == (r, g)
+    else:
+        s.Mask(bits).check(p)
+
+    a = s.DenseMatrix(np.where(bits, np.float32(1.5), np.float32(0)), s.FP32)
+    over = np.argwhere(counts > p.n)
+    if len(over):
+        r, g = over[0]
+        with pytest.raises(s.ConformanceError, match=f"^row {r}, group {g}: {counts[r, g]} nonzeros") as exc:
+            s.check_conformance(a, p)
+        assert (exc.value.row, exc.value.group) == (r, g)
+    else:
+        s.check_conformance(a, p)
+
+
+# -0.0, ±inf and NaNs with distinct payloads and signs, as raw float32 words
+SPECIAL_WORDS = np.array(
+    [0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F812345, 0x00000001, 0x3F800000],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    cols=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    fmt_idx=st.integers(0, len(s.ALL_FORMATS) - 1),
+)
+def test_apply_mask_matches_where_bytewise(rows, cols, seed, fmt_idx):
+    fmt = s.ALL_FORMATS[fmt_idx]
+    rng = np.random.default_rng(seed)
+    if fmt.is_integer:
+        data = rng.integers(-128, 128, size=(rows, cols)).astype(np.int32)
+    else:
+        pool = np.concatenate([SPECIAL_WORDS, rng.standard_normal(8).astype(np.float32)])
+        data = rng.choice(pool, size=(rows, cols))
+    bits = rng.random((rows, cols)) < rng.random()
+    got = s.apply_mask(s.DenseMatrix(data, fmt), s.Mask(bits))
+    expect = np.where(bits, data, data.dtype.type(0))
+    assert got.fmt == fmt
+    assert got.data.dtype == expect.dtype
+    assert got.data.tobytes() == expect.tobytes()
+
+
+def decompress_loop_oracle(sp):
+    """Scatter every kept value to its original column, one value at a time."""
+    p = sp.pattern
+    out = np.zeros((sp.rows, sp.cols_orig), dtype=sp.values.dtype)
+    for r in range(sp.rows):
+        for j in range(sp.cols_kept):
+            out[r, (j // p.n) * p.m + int(sp.meta[r, j])] = sp.values[r, j]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pattern=st.sampled_from(GROUP_PATTERNS),
+    rows=st.integers(0, 6),
+    groups=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    fmt_idx=st.integers(0, len(s.ALL_FORMATS) - 1),
+)
+def test_decompress_matches_loop_scatter(pattern, rows, groups, seed, fmt_idx):
+    p, fmt = s.NMPattern.parse(pattern), s.ALL_FORMATS[fmt_idx]
+    rng = np.random.default_rng(seed)
+    meta = np.sort(np.argsort(rng.random((rows, groups, p.m)), axis=2)[..., : p.n], axis=2)
+    values = random_dense(rng, rows, groups * p.n, fmt).data
+    sp = s.SparseNM(groups * p.m, p, values, meta.reshape(rows, groups * p.n).astype(np.uint8), fmt)
+    got = s.decompress(sp)
+    assert got.fmt == fmt
+    assert got.data.dtype == values.dtype
+    assert got.data.tobytes() == decompress_loop_oracle(sp).tobytes()
+
+
 class TestApplyMask:
     def test_full_true(self, rng):
         a = random_dense(rng, 4, 8, s.FP32)

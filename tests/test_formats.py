@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparse24 as s
 from conftest import random_dense
@@ -196,7 +198,10 @@ def test_error_codes_distinct_and_stable():
     "make, error",
     [
         (lambda: s.NMPattern(4, 4), s.PatternError),
+        # an intra-group index must fit one byte of metadata and the archive's u8 m
+        (lambda: s.NMPattern(1, 256), s.PatternError),
         (lambda: s.NMPattern.parse("2-4"), s.PatternError),
+        (lambda: s.NMPattern.parse("1:512"), s.PatternError),
         (lambda: s.CalibMethod("median"), s.CalibMethodError),
         (lambda: s.CalibMethod.parse("percentile=abc"), s.CalibMethodError),
         (
@@ -217,7 +222,9 @@ def test_error_codes_distinct_and_stable():
     ],
     ids=[
         "pattern_n_not_below_m",
+        "pattern_m_above_255",
         "pattern_text",
+        "pattern_text_m_above_255",
         "calib_method",
         "calib_percentile_text",
         "search_mode",
@@ -229,3 +236,41 @@ def test_error_codes_distinct_and_stable():
 def test_input_errors_carry_a_code(make, error):
     with pytest.raises(error):
         make()
+
+
+KEEP_PATTERNS = ["1:2", "2:4", "1:4", "4:8", "3:16", "1:255"]
+
+
+def keep_loop_oracle(scores: np.ndarray, pattern: s.NMPattern) -> np.ndarray:
+    """The documented keep rule, one group at a time: the n highest scores,
+    ties to the lower index."""
+    out = np.zeros(scores.shape, dtype=bool)
+    for idx in np.ndindex(scores.shape[:-1]):
+        group = scores[idx].tolist()
+        order = sorted(range(pattern.m), key=lambda k: (-group[k], k))
+        for k in order[: pattern.n]:
+            out[idx + (k,)] = True
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pattern=st.sampled_from(KEEP_PATTERNS),
+    rows=st.integers(0, 5),
+    groups=st.integers(1, 4),
+    kind=st.sampled_from(["ties", "distinct", "flags"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_keep_matches_per_group_loop(pattern, rows, groups, kind, seed):
+    p = s.NMPattern.parse(pattern)
+    rng = np.random.default_rng(seed)
+    shape = (rows, groups, p.m)
+    if kind == "ties":  # three levels, so most groups hold equal scores
+        scores = rng.integers(0, 3, size=shape).astype(np.float64)
+    elif kind == "distinct":
+        scores = np.abs(rng.standard_normal(shape))
+    else:  # nonzero flags, as compress passes them
+        scores = rng.random(shape) < rng.random()
+    got = p.keep(scores)
+    assert got.dtype == bool and got.shape == shape and got.flags.c_contiguous
+    assert np.array_equal(got, keep_loop_oracle(scores, p))
