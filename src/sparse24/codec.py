@@ -119,9 +119,11 @@ class SparseNM:
     def column_indices(self) -> np.ndarray:
         """Original column index of every kept value, shape (R, C*n/m).
 
+        Computed in ``intp`` whatever the metadata's integer dtype: int64
+        starts plus uint64 metadata would otherwise promote to float64.
         Public, with :meth:`validate`, because the benchmark's tracer
         (``perfbench/spans.py``) binds both methods by name."""
-        return self.group_starts()[None, :] + self.meta
+        return np.add(self.group_starts()[None, :], self.meta, dtype=np.intp)
 
 
 def _group_counts(flags: np.ndarray) -> np.ndarray:

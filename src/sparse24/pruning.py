@@ -84,19 +84,26 @@ class SearchBudget:
 def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:
     """Keep the n largest-|w| entries of every aligned group of m.
 
-    Exact per-group optimum; equal magnitudes keep the lower index.
-    Raises :class:`NonFiniteError` on NaN or ±inf weights.
+    Exact per-group optimum; equal magnitudes keep the lower index. The keep
+    rule runs on |w| in the data's own dtype (float32, or int32 for INT8):
+    float64 holds each such value exactly and keeps their order, so the mask
+    is the one float64 magnitudes give, and float64 is formed only for the
+    two sums. Raises :class:`NonFiniteError` on NaN or ±inf weights.
     """
-    absw = np.abs(pattern.groups(w.data).astype(np.float64))
+    absw = np.abs(pattern.groups(w.data))
     require_finite(absw, "weights")
     return _prune_result(absw, pattern.keep(absw).reshape(w.rows, w.cols))
 
 
 def _prune_result(absw: np.ndarray, bits: np.ndarray) -> PruneResult:
-    """The mask ``bits`` with the magnitudes of ``absw`` that it keeps and drops."""
-    total = float(absw.sum())
+    """The mask ``bits`` with the magnitudes of ``absw`` that it keeps and drops.
+
+    Both sums run over a float64 copy of the values they add: summing
+    float32 with ``dtype=float64`` splits numpy's pairwise summation into
+    other blocks and can round differently."""
+    total = float(absw.astype(np.float64).sum())
     # the kept magnitudes in row-major order: what absw[bits] sums, but faster
-    retained = float(np.compress(bits.ravel(), absw.ravel()).sum())
+    retained = float(np.compress(bits.ravel(), absw.ravel()).astype(np.float64).sum())
     return PruneResult(mask=Mask(bits), retained_magnitude=retained, lost_magnitude=total - retained)
 
 
@@ -148,74 +155,105 @@ def _retained(absw: np.ndarray, order: np.ndarray, pattern: NMPattern) -> float:
     return float(_top_n(absw[:, order], pattern).sum())
 
 
-# Partners of a column are scored in batches. The first holds at least
-# _FIRST_BATCH partners and _BATCH_ELEMENTS entries, each batch without an
-# improving swap doubles the next, and an accepted swap starts over from the
-# first size. Small batches waste little work when improvements are
-# frequent; doubling keeps the numpy passes per column logarithmic when they
-# are rare.
-_FIRST_BATCH = 16
-_BATCH_ELEMENTS = 4096
+# A sweep's pairs are scored in runs of consecutive pairs in visiting order,
+# which may span positions. The first run holds _BATCH_ELEMENTS // rows
+# pairs, at least _FIRST_BATCH; a run without an improving swap doubles the
+# next, up to _RUN_ELEMENTS // rows pairs, and an accepted swap starts over.
+# Runs are cut from a window of _WINDOW pairs, rebuilt when the cursor
+# passes its end, so no table of all pairs is built. Picked by an
+# interleaved timing sweep (fp16 2:4, column-scaled magnitudes, one BLAS
+# thread, 2-vCPU x86 host) against per-position batches of 16 pairs or 4096
+# entries: (_FIRST_BATCH, _BATCH_ELEMENTS, _RUN_ELEMENTS) = (4, 1024, 8192)
+# ran 1.26-1.36x faster on 64x32 (5000 swaps, 4 restarts) and 1.03-1.68x on
+# 256x64, 16x128, 512x256, 8x1024 and 2048x64; (16, 4096, 16384) ran
+# 0.82-1.14x; windows of 1024 or 16384 pairs timed as 4096.
+_FIRST_BATCH = 4
+_BATCH_ELEMENTS = 1024
+_RUN_ELEMENTS = 8192
+_WINDOW = 4096
+
+
+def _pair_window(starts: np.ndarray, m: int, first: int, size: int) -> np.ndarray:
+    """Pairs ``first`` to ``first + size - 1`` of a sweep (fewer at its end) as
+    (position, partner) rows; ``starts[p]`` is the index of position p's first
+    pair, and its partners are every position of the later groups in order."""
+    t = np.arange(first, min(first + size, int(starts[-1])))
+    p = np.searchsorted(starts, t, side="right") - 1
+    return np.stack((p, (p // m + 1) * m + t - starts[p]), axis=1)
 
 
 def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swaps_left: int) -> int:
     """First-improvement pairwise column swaps on ``order`` (in place) until a
     sweep over all pairs improves nothing or no swaps are left; returns the
-    swaps left. Pairs are visited in ``itertools.combinations`` order, pairs
-    within one group are skipped for free, and every other scored pair costs
-    one swap."""
+    swaps left. A sweep visits the pairs (p, q) of positions in different
+    groups in ``itertools.combinations`` order, p ascending and then q, and
+    charges each scored pair one swap; pairs within one group are not in it.
+    A run of consecutive pairs is scored at once: the first improving pair
+    is accepted and charged its offset in the run plus one, and the sweep
+    resumes right after it; a run with none is charged in full."""
     n, m = pattern.n, pattern.m
     cols, rows = len(order), absw.shape[0]
+    groups = cols // m
     cur = np.ascontiguousarray(absw[:, order].T)  # cur[p]: |w| of the column at position p
-    group_scores = _top_n(absw[:, order], pattern).sum(axis=(0, 2))
-    group_of = np.arange(cols) // m
     # For position p, over the m - 1 other entries of its group in each row:
-    # base[p] sums their n largest and thr[p] is their n-th largest, so a
-    # column x placed at p makes the group score sum(base[p] + max(x - thr[p], 0)).
-    base, thr = np.empty_like(cur), np.empty_like(cur)
-    base_sum = np.empty(cols)
+    # thr[p] is their n-th largest and base_sum[p] sums their n largest over
+    # all rows, so a column x placed at p makes the group score
+    # base_sum[p] + sum(max(x - thr[p], 0)). sums[p] holds base_sum[p] and
+    # the score of p's group.
+    thr, sums = np.empty_like(cur), np.empty((cols, 2))
+    base_sum, score = sums.T
+    score[:] = np.repeat(_top_n(absw[:, order], pattern).sum(axis=(0, 2)), m)
 
-    def refresh(groups):
-        blocks = cur.reshape(cols // m, m, rows)[groups]
+    def refresh(sel: slice):
+        blocks = cur.reshape(groups, m, rows)[sel]
         s = np.sort(blocks, axis=1)  # ascending: the n-th largest is s[:, m - n]
         nth, after = s[:, m - n : m - n + 1], s[:, m - n - 1 : m - n]
         top_sum = s[:, m - n :].sum(axis=1, keepdims=True)
         # taking an entry out of the top n lets the (n+1)-th largest in
         inside = blocks >= nth
-        b = np.where(inside, top_sum - blocks + after, top_sum)
-        base.reshape(cols // m, m, rows)[groups] = b
-        thr.reshape(cols // m, m, rows)[groups] = np.where(inside, after, nth)
-        base_sum.reshape(cols // m, m)[groups] = b.sum(axis=2)
+        base_sum.reshape(groups, m)[sel] = np.where(inside, top_sum - blocks + after, top_sum).sum(axis=2)
+        thr.reshape(groups, m, rows)[sel] = np.where(inside, after, nth)
 
     refresh(slice(None))
-    first_batch = max(_FIRST_BATCH, _BATCH_ELEMENTS // max(rows, 1))
+    starts = np.zeros(cols + 1, dtype=np.intp)
+    np.cumsum(cols - (np.arange(cols) // m + 1) * m, out=starts[1:])
+    total = int(starts[-1])
+    first_run = max(_FIRST_BATCH, _BATCH_ELEMENTS // max(rows, 1))
+    max_run = max(first_run, _RUN_ELEMENTS // max(rows, 1))
+    window_at, window = 0, np.empty((0, 2), dtype=np.intp)  # built on first use
     improved = True
     while improved and swaps_left > 0:
         improved = False
-        for i in range(cols - m):  # the last group has no later partner
-            gi = i // m
-            j, batch = (gi + 1) * m, first_batch
-            while j < cols and swaps_left > 0:
-                stop = min(cols, j + batch, j + swaps_left)
-                # new_i: group gi with the column at j moved to i; new_j: group
-                # gj with the column at i moved to j
-                new_i = base_sum[i] + np.maximum(cur[j:stop] - thr[i], 0.0).sum(axis=1)
-                new_j = base_sum[j:stop] + np.maximum(cur[i] - thr[j:stop], 0.0).sum(axis=1)
-                gain = new_i + new_j > group_scores[gi] + group_scores[group_of[j:stop]]
-                k = int(np.argmax(gain))
-                if not gain[k]:
-                    swaps_left -= stop - j
-                    j, batch = stop, 2 * batch
-                    continue
-                swaps_left -= k + 1
-                jj = j + k
-                gj = group_of[jj]
-                order[[i, jj]] = order[[jj, i]]
-                cur[[i, jj]] = cur[[jj, i]]
-                group_scores[gi], group_scores[gj] = new_i[k], new_j[k]
-                refresh([gi, gj])
-                improved = True
-                j, batch = jj + 1, first_batch
+        t, run = 0, first_run
+        while t < total and swaps_left > 0:
+            if not window_at <= t < window_at + len(window):
+                window_at, window = t, _pair_window(starts, m, t, _WINDOW)
+                swapped = window[:, ::-1].copy()  # (partner, position) rows
+            stop = min(t + run, t + swaps_left, window_at + len(window))
+            run_at = slice(t - window_at, stop - window_at)
+            pq = window[run_at]
+            # per pair (p, q): x[:, 0] is the column at q against thr[p], and
+            # x[:, 1] the column at p against thr[q]
+            x = np.take(cur, swapped[run_at], axis=0)
+            x -= np.take(thr, pq, axis=0)
+            np.maximum(x, 0.0, out=x)
+            pair_sums = sums[pq]  # (pair, p | q, base_sum | group score)
+            new = pair_sums[:, :, 0] + x.sum(axis=2)
+            gain = new[:, 0] + new[:, 1] > pair_sums[:, 0, 1] + pair_sums[:, 1, 1]
+            k = int(gain.argmax())
+            if not gain[k]:
+                swaps_left -= stop - t
+                t, run = stop, min(2 * run, max_run)
+                continue
+            swaps_left -= k + 1
+            i, j = int(pq[k, 0]), int(pq[k, 1])
+            order[i], order[j] = order[j], order[i]
+            cur[i], cur[j] = cur[j], cur[i].copy()
+            gi, gj = i // m, j // m  # gi < gj: q lies in a later group
+            score[gi * m : gi * m + m], score[gj * m : gj * m + m] = new[k].tolist()
+            refresh(slice(gi, gj + 1, gj - gi))
+            improved = True
+            t, run = t + k + 1, first_run
     return swaps_left
 
 
@@ -233,7 +271,10 @@ def find_permutation(
     per-position gain arrays: over the other m - 1 entries of a position's
     group, the sum of their n largest |w| (base) and their n-th largest
     (thr), so placing column c at position p gives the group the score
-    sum over rows of base + max(|w[:, c]| - thr, 0).
+    sum over rows of base + max(|w[:, c]| - thr, 0). Consecutive pairs are
+    scored together in runs that may span positions, and a run's first
+    improving pair is the one taken, so the swaps made, their order and the
+    swaps charged are those of a walk that scores one pair at a time.
 
     Decisions are exact for FP16 weights: every FP16 magnitude is an integer
     multiple of 2**-24 below 2**16, so any float64 sum of at most 8192 of
@@ -293,20 +334,34 @@ def _valid_tile_masks() -> np.ndarray:
 
 
 TILE_MASKS_2OF4 = _valid_tile_masks()
+# candidate k as column k of a (16, 90) float64 matrix, tile entries row-major
+_TILE_MASK_COLUMNS = TILE_MASKS_2OF4.reshape(len(TILE_MASKS_2OF4), 16).T.astype(np.float64)
+# Tiles scored per matrix product (whole rows of tiles, at least one). In an
+# interleaved sweep over 256-4096 (256x256 and 64x1024 fp16, 512x512 fp32,
+# one BLAS thread) 512 and 1024 ran 1.2-1.3x faster than the single einsum
+# they replaced and 4096 only 1.05-1.1x; 512 keeps the scores at 360 KiB.
+_TILE_BLOCK = 512
 
 
 def find_transposable_mask(w: DenseMatrix) -> PruneResult:
     """Find a mask satisfying 2:4 along rows and columns of every 4x4 tile.
 
     Per tile, the magnitude-maximal mask among all 90 candidates; equal
-    scores keep the lower candidate. Raises :class:`NonFiniteError` on NaN
-    or ±inf weights.
+    scores keep the lower candidate. The tiles are scored a block of tile
+    rows at a time, as one (tiles, 16) @ (16, 90) float64 product each.
+    Raises :class:`NonFiniteError` on NaN or ±inf weights.
     """
     if w.rows % 4 or w.cols % 4:
         raise ShapeError(f"dims {w.rows}x{w.cols} must be multiples of 4")
     require_finite(w.data, "weights")
-    absw = np.abs(w.data.astype(np.float64))
-    tiles = absw.reshape(w.rows // 4, 4, w.cols // 4, 4)
-    scores = np.einsum("kij,aibj->abk", TILE_MASKS_2OF4, tiles, optimize=True)
-    best = TILE_MASKS_2OF4[np.argmax(scores, axis=2)]  # (row tile, col tile, 4, 4)
-    return _prune_result(absw, best.transpose(0, 2, 1, 3).reshape(w.rows, w.cols))
+    absw = np.abs(w.data)
+    tile_rows, tile_cols = w.rows // 4, w.cols // 4
+    tiles = absw.reshape(tile_rows, 4, tile_cols, 4).transpose(0, 2, 1, 3)
+    best = np.empty((tile_rows, tile_cols), dtype=np.intp)
+    step = max(1, _TILE_BLOCK // max(tile_cols, 1))
+    for a in range(0, tile_rows, step):
+        block = tiles[a : a + step].astype(np.float64, order="C")
+        scores = block.reshape(-1, 16) @ _TILE_MASK_COLUMNS
+        best[a : a + step] = scores.argmax(axis=1).reshape(block.shape[:2])
+    bits = TILE_MASKS_2OF4[best]  # (row tile, col tile, 4, 4)
+    return _prune_result(absw, bits.transpose(0, 2, 1, 3).reshape(w.rows, w.cols))

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 import sparse24 as s
+from sparse24 import pruning
 from conftest import random_dense
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def best_group_retained(group, n):
@@ -49,6 +60,13 @@ class TestPruneMagnitude:
         res = s.prune_magnitude(w, s.PATTERN_24)
         res.mask.check(s.PATTERN_24)
         s.check_conformance(s.apply_mask(w, res.mask), s.PATTERN_24)
+
+    def test_peak_memory_without_float64_keep(self, rng):
+        # Float64 |w| in the keep rule peaked at 2 209 KiB here (a float64
+        # copy, its abs and the keep rule's slot planes); float32 |w| with one
+        # float64 copy for the sums peaks at 1 666 KiB.
+        w = random_dense(rng, 256, 512, s.FP16)
+        assert traced_peak(lambda: s.prune_magnitude(w, s.PATTERN_24)) < 2209 * 1024
 
 
 def prune_argsort_oracle(w, pattern):
@@ -257,16 +275,50 @@ class TestPermutationSearch:
         budget = s.SearchBudget(mode="greedy", restarts=4, max_swaps=5000, seed=int(rng.integers(2**31)))
         assert_matches_two_group_oracle(w, s.PATTERN_24, budget)
 
+    # The run and window sizes only group the pairs that one numpy pass
+    # scores; the swaps and their charge must not depend on them. One-pair
+    # windows rebuild at every pair, 7 and 64 in the middle of runs and
+    # positions; (1, 1, 1) scores one pair per run.
+    @pytest.mark.parametrize("sizes", [(4, 1024, 8192, 1), (4, 1024, 8192, 7), (1, 1, 1, 64), (2, 64, 96, 7)])
+    def test_greedy_does_not_depend_on_run_or_window_size(self, rng, monkeypatch, sizes):
+        for name, value in zip(("_FIRST_BATCH", "_BATCH_ELEMENTS", "_RUN_ELEMENTS", "_WINDOW"), sizes):
+            monkeypatch.setattr(pruning, name, value)
+        for pattern in (s.PATTERN_24, s.NMPattern(3, 8)):
+            vals = rng.standard_normal((12, 48)) * rng.lognormal(0.0, 1.0, size=48)
+            w = s.DenseMatrix.from_values(vals.astype(np.float32), s.FP16)
+            budget = s.SearchBudget(mode="greedy", restarts=2, max_swaps=2000, seed=int(rng.integers(1000)))
+            assert_matches_two_group_oracle(w, pattern, budget)
+
     def test_greedy_memory_stays_linear_in_matrix_size(self, rng):
         # a table of every position x candidate column would need ~1 GB here
         w = s.DenseMatrix.from_values(rng.standard_normal((256, 512)).astype(np.float32), s.FP16)
-        tracemalloc.start()
-        try:
-            s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="greedy", max_swaps=500))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        budget = s.SearchBudget(mode="greedy", max_swaps=500)
+        assert traced_peak(lambda: s.find_permutation(w, s.PATTERN_24, budget)) < 32 * 2**20
+
+    def test_greedy_memory_bounded_on_a_wide_matrix(self, rng):
+        # 8x8192 has ~33.5 million pairs per sweep: a table of all of them
+        # peaked at 1.79 GB, where runs cut from a bounded window of pairs
+        # peak at ~3.5 MiB
+        w = s.DenseMatrix.from_values(rng.standard_normal((8, 8192)).astype(np.float32), s.FP16)
+        budget = s.SearchBudget(mode="greedy", max_swaps=500)
+        assert traced_peak(lambda: s.find_permutation(w, s.PATTERN_24, budget)) < 32 * 2**20
+
+    def test_greedy_budget_cuts_match_two_group_loop(self, rng):
+        # 16x32 at 2:4 has 448 pairs per sweep, its positions 28, 24, ..., 4
+        # partners each, and runs of 64 pairs and more at 16 rows. Budgets of
+        # 0 to 64 and around 448 and 896 therefore run out inside a run, on
+        # a run's edge, on a position's edge and on a sweep's edge.
+        vals = rng.standard_normal((16, 32)) * rng.lognormal(0.0, 1.0, size=32)
+        w = s.DenseMatrix.from_values(vals.astype(np.float32), s.FP16)
+        unlimited = s.SearchBudget(mode="greedy", restarts=1, max_swaps=10**6, seed=3)
+        s.find_permutation(w, s.PATTERN_24, unlimited)
+        assert unlimited.stats["swaps_used"] > 896  # the third sweep is reached
+        for max_swaps in [*range(65), *range(446, 451), *range(894, 899)]:
+            budget = s.SearchBudget(mode="greedy", restarts=1, max_swaps=max_swaps, seed=3)
+            perm, _ = s.find_permutation(w, s.PATTERN_24, budget)
+            order, swaps_used = greedy_two_group_oracle(w, s.PATTERN_24, budget)
+            assert np.array_equal(perm.perm, order), max_swaps
+            assert budget.stats["swaps_used"] == swaps_used, max_swaps
 
     def test_heavy_tailed_improvement_frequency(self, rng):
         # column permutation usually recovers magnitude lost to the group
@@ -417,7 +469,9 @@ class TestTransposableMask:
         res.mask.check(s.PATTERN_24)
         s.Mask(np.ascontiguousarray(res.mask.bits.T)).check(s.PATTERN_24)
 
-    @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (8, 20), (20, 8)])
+    # (136, 100) and (8, 2400) hold more tiles than one matrix product
+    # scores: blocks of several tile rows, and one tile row per block
+    @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (8, 20), (20, 8), (136, 100), (8, 2400)])
     @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.FP32])
     def test_matches_per_tile_loop(self, rng, shape, fmt):
         w = random_dense(rng, *shape, fmt)
@@ -436,6 +490,13 @@ class TestTransposableMask:
         wt = s.DenseMatrix(np.ascontiguousarray(w.data.T), s.FP32)
         res_t = s.find_transposable_mask(wt)
         assert res_t.retained_magnitude == pytest.approx(res.retained_magnitude, rel=1e-6)
+
+    def test_peak_memory_scoring_by_blocks(self, rng):
+        # One einsum over every tile peaked at 4 034 KiB here (a float64 copy
+        # and a (64, 64, 90) float64 score array); scoring a block of tile
+        # rows at a time peaks at 1 354 KiB.
+        w = random_dense(rng, 256, 256, s.FP16)
+        assert traced_peak(lambda: s.find_transposable_mask(w)) < 4034 * 1024
 
     def test_dims_must_be_multiples_of_4(self, rng):
         with pytest.raises(s.ShapeError):
