@@ -325,4 +325,4 @@ def sparse_quantize(s: SparseNM, scale: ScaleSet) -> SparseNM:
     N:M conformance is preserved). Raises :class:`NonFiniteError` if a
     kept value is NaN or ±inf."""
     require_finite(s.values, "values to quantize")
-    return SparseNM(s.cols_orig, s.pattern, _to_int8(s.values, scale), s.meta.copy(), INT8)
+    return SparseNM(s.cols_orig, s.pattern, _to_int8(s.values, scale), s.meta, INT8)

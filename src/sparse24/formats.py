@@ -3,8 +3,9 @@
 All low-precision formats are emulated on top of 32-bit arithmetic with
 explicit rounding so results are reproducible across platforms. FP32-accumulate
 modes round products only (FP16/BF16/TF32 products are exact in float32);
-FP16-accumulate mode rounds every product and every accumulation step.
-Accumulation order is fixed (ascending k) so float results are bit-stable.
+FP16-accumulate mode rounds every product and every accumulation step; INT32
+accumulates in int32, wrapping modulo 2**32. Accumulation order is fixed
+(ascending k) so float results are bit-stable.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ STORAGE_DTYPE = {
     ElemType.FP16: np.dtype("<f2"),
     ElemType.BF16: np.dtype("<u2"),
     ElemType.INT8: np.dtype("<i1"),
+}
+
+ACC_DTYPE = {  # each mode's accumulator: every product is added in this dtype
+    AccType.FP32: np.dtype(np.float32),
+    AccType.FP16: np.dtype(np.float16),
+    AccType.INT32: np.dtype(np.int32),
 }
 
 FP32 = NumericFormat(ElemType.FP32, AccType.FP32)
@@ -276,11 +283,6 @@ PATTERN_24 = NMPattern(2, 4)
 PATTERN_12 = NMPattern(1, 2)
 
 
-def _wrap_int32(x: np.ndarray) -> np.ndarray:
-    low = np.bitwise_and(x, np.int64(0xFFFFFFFF))
-    return np.where(low >= 2**31, low - 2**32, low).astype(np.int32)
-
-
 def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Reference dense GEMM with the documented emulation semantics.
 
@@ -301,7 +303,7 @@ def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 # Gather budget of one chunk of steps in _accumulate. A sweep of 64 KiB to
 # 4 MiB on 512x512 2:4 fp16 layers at batch widths 8/32/128 (Xeon, 2 MiB L2
 # per core, numpy 2.4) found 256 KiB to 1 MiB equal within noise, and smaller
-# or larger budgets slower.
+# or larger budgets slower. INT8 gathers int32, 4 bytes like fp16's float32.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -318,9 +320,9 @@ def _accumulate(
     every output row r, row ``rows_t[j, r]`` of B, multiplies it by
     ``vals_t[j, r]`` and adds the product into the M x N accumulator, so each
     output element sums its products in ascending j. FP16-accumulate mode
-    rounds every product to fp16 before adding it; INT8/INT32 mode adds
-    exactly in int64 and wraps to int32 once at the end. A zero value still
-    multiplies its row, so 0 * inf in B gives NaN.
+    rounds every product to fp16 before adding it; INT8/INT32 mode multiplies
+    and adds in int32, wrapping modulo 2**32 like an exact sum wrapped once.
+    A zero value still multiplies its row, so 0 * inf in B gives NaN.
 
     The products are formed a chunk of steps at a time: one ``take`` gathers
     the chunk's rows of B into a (c, M, N) buffer, one ``multiply`` scales
@@ -334,27 +336,20 @@ def _accumulate(
     """
     if b.fmt != fmt:
         raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
-    if fmt.is_integer:
-        acc_dtype = np.int64
-        vals_t = vals_t.astype(np.int64)
-        bdat = b.data.astype(np.int64)
-    else:
-        acc_dtype = np.float16 if fmt.acc is AccType.FP16 else np.float32
-        bdat = b.data
     steps, (rows, cols) = len(vals_t), (rows_t.shape[1], b.cols)
-    out = np.zeros((rows, cols), dtype=acc_dtype)
-    chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * bdat.itemsize)))
-    buf = np.empty((chunk, rows, cols), dtype=bdat.dtype)
-    prod = np.empty_like(buf, dtype=acc_dtype) if acc_dtype is np.float16 else buf
+    out = np.zeros((rows, cols), dtype=ACC_DTYPE[fmt.acc])
+    chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * b.data.itemsize)))
+    buf = np.empty((chunk, rows, cols), dtype=b.data.dtype)
+    prod = buf if out.dtype == buf.dtype else np.empty_like(buf, dtype=out.dtype)
     for j in range(0, steps, chunk):
         c = min(chunk, steps - j)
         if counter is not None:
             counter.add(c * rows * cols)
         gathered, products = buf[:c], prod[:c]
-        np.take(bdat, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
+        np.take(b.data, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
         np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)
         if prod is not buf:
             np.copyto(products, gathered, casting="same_kind")
         for p in products:
             np.add(out, p, out=out)
-    return DenseMatrix(_wrap_int32(out) if fmt.is_integer else out.astype(np.float32), fmt)
+    return DenseMatrix(out.astype(b.data.dtype, copy=False), fmt)  # fp16 widens to float32

@@ -63,12 +63,13 @@ def spmm(a: SparseNM, b: DenseMatrix, *, counter: MultiplyAddCounter | None = No
     slots gathers, for every output row, the row of B that the row's j-th
     kept value selects, multiplies it by that value and adds the product
     (rounded to fp16 first in FP16-accumulate mode) into the M x N
-    accumulator. The gathers and multiplies run a chunk of slots per numpy
-    call, but the adds stay one slot at a time, so each output element sums
-    its products in ascending original-column order. For finite operands the
-    result is bit-exact against :func:`gemm_dense` on the decompressed
-    operand in every mode, M = 0 and N = 0 included; a pruned zero facing
-    ±inf in B adds nothing here, where the dense reference adds NaN.
+    accumulator, which in INT8 mode is int32 and wraps modulo 2**32. The
+    gathers and multiplies run a chunk of slots per numpy call, but the adds
+    stay one slot at a time, so each output element sums its products in
+    ascending original-column order. For finite operands the result is
+    bit-exact against :func:`gemm_dense` on the decompressed operand in
+    every mode, M = 0 and N = 0 included; a pruned zero facing ±inf in B
+    adds nothing here, where the dense reference adds NaN.
     """
     if a.cols_orig != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols_orig} vs {b.rows}")

@@ -261,8 +261,13 @@ def find_permutation(
     w: DenseMatrix, pattern: NMPattern, budget: SearchBudget | None = None
 ) -> tuple[Permutation, PruneResult]:
     """Search for a column permutation maximizing retained magnitude after
-    pruning. Identity is always in the candidate set, so the result is never
-    worse than the unpermuted baseline.
+    pruning. Identity is always a candidate, and candidates are ranked by a
+    float64 sum of their kept magnitudes, group by group, so the chosen order
+    never ranks below identity; the result reports :func:`prune_magnitude`'s
+    row-major sum. Where both sums are exact, the result is never worse than
+    the unpermuted baseline: for INT8 weights, and for FP16 weights with at
+    most 8192 kept values, each a multiple of 2**-24 below 2**16. For FP32,
+    TF32 and BF16 weights the two sums can round about an ulp apart.
 
     Greedy mode climbs by first-improvement swaps of two columns in different
     groups, visiting pairs in lexicographic order and charging each scored
@@ -276,11 +281,9 @@ def find_permutation(
     improving pair is the one taken, so the swaps made, their order and the
     swaps charged are those of a walk that scores one pair at a time.
 
-    Decisions are exact for FP16 weights: every FP16 magnitude is an integer
-    multiple of 2**-24 below 2**16, so any float64 sum of at most 8192 of
-    them is exact, and swaps compare sums of 2 * rows * n magnitudes
-    (rows <= 2048 at 2:4). Raises :class:`NonFiniteError` on NaN or ±inf
-    weights.
+    Swaps compare sums of 2 * rows * n magnitudes, so their decisions are
+    exact for FP16 weights with rows <= 2048 at 2:4. Raises
+    :class:`NonFiniteError` on NaN or ±inf weights.
     """
     if budget is None:
         budget = SearchBudget()
@@ -295,10 +298,10 @@ def find_permutation(
         visited = 0
         for order in enumerate_group_partitions(w.cols, pattern.m):
             visited += 1
-            val = _retained(absw, np.array(order), pattern)
+            order = np.array(order, dtype=np.intp)  # intp even when empty: zero columns
+            val = _retained(absw, order, pattern)
             if val > best_val:
-                best_val = val
-                best_order = np.array(order)
+                best_val, best_order = val, order
         budget.stats["partitions_visited"] = visited
     elif budget.mode == "greedy":
         rng = np.random.default_rng(budget.seed)

@@ -51,6 +51,17 @@ class TestPruneCheckPipeline:
         arch = s.read_archive(dst)
         assert "w.permutation" in arch.entries
 
+    @pytest.mark.parametrize("mask", ["permute-greedy", "permute-exhaustive"])
+    def test_permute_zero_columns(self, runner, tmp_path, mask):
+        src = tmp_path / "z.s24t"
+        dst = tmp_path / "p.s24t"
+        write_dense(src, s.DenseMatrix(np.zeros((4, 0), dtype=np.float32), s.FP32))
+        res = runner.invoke(main, ["prune", str(src), str(dst), "--mask", mask])
+        assert res.exit_code == 0, res.output
+        arch = s.read_archive(dst)
+        assert arch["w.permutation"].data.shape == (1, 0)
+        assert arch["w.mask"].bits.shape == (4, 0)
+
     def test_transposable_prune(self, runner, tmp_path, rng):
         src = tmp_path / "w.s24t"
         dst = tmp_path / "p.s24t"

@@ -13,10 +13,17 @@ def make_case(rng, m, n, k, fmt, pattern=s.PATTERN_24):
     return a, sp, b
 
 
+def wrap_int32(x):
+    """Signed int32 of the low 32 bits of int64 ``x``. int64 arithmetic wraps
+    modulo 2**64, a multiple of 2**32, so those bits stay exact."""
+    return ((x + 2**31) % 2**32 - 2**31).astype(np.int32)
+
+
 def accumulate_per_step_oracle(vals_t, rows_t, fmt, b):
     """The accumulate loop with one numpy call per step and stage: gather
     step j's rows of B, scale them, round them (FP16-accumulate mode) and add
-    them into the accumulator, for j ascending."""
+    them into the accumulator, for j ascending. INT8 mode sums in int64 and
+    wraps to int32 once at the end."""
     if fmt.is_integer:
         acc_dtype = np.int64
         vals_t = vals_t.astype(np.int64)
@@ -33,7 +40,7 @@ def accumulate_per_step_oracle(vals_t, rows_t, fmt, b):
         if prod is not buf:
             np.copyto(prod, buf, casting="same_kind")
         np.add(out, prod, out=out)
-    return formats._wrap_int32(out) if fmt.is_integer else out.astype(np.float32)
+    return wrap_int32(out) if fmt.is_integer else out.astype(np.float32)
 
 
 def spmm_oracle(sp, b):
@@ -50,24 +57,26 @@ def gemm_dense_oracle(a, b):
 SPARSE_FORMATS = [f for f in s.ALL_FORMATS if f.sparse_capable]
 
 
-def chunk_steps(fmt, m, n):
-    """Steps per chunk of formats._accumulate for an M x N output; the gather
-    buffer holds int64 in INT8 mode and float32 otherwise."""
-    itemsize = 8 if fmt.is_integer else 4
-    return max(1, formats._CHUNK_BYTES // max(1, m * n * itemsize))
+# bytes per element of the gather buffer in formats._accumulate: it holds the
+# operands' in-memory values, int32 in INT8 mode and float32 otherwise
+GATHER_ITEMSIZE = 4
+
+
+def chunk_steps(m, n):
+    """Steps per chunk of formats._accumulate for an M x N output."""
+    return max(1, formats._CHUNK_BYTES // max(1, m * n * GATHER_ITEMSIZE))
 
 
 def chunk_shapes(fmt):
     """(M, N, K) cases for the chunked loop, derived from the chunk budget:
     one chunk holds every step; the chunk size does not divide the step
     count; one M x N slab exceeds the budget, so each chunk is one step."""
-    itemsize = 8 if fmt.is_integer else 4
     k = 2 * fmt.sparse_k_multiple
     m = 16
     # a slab of about 2/7 of the budget gives 3-step chunks, and 3 divides
     # neither K nor its K/2 kept slots
-    n_three = formats._CHUNK_BYTES * 2 // 7 // (m * itemsize)
-    n_over = formats._CHUNK_BYTES // (m * itemsize) + 1
+    n_three = formats._CHUNK_BYTES * 2 // 7 // (m * GATHER_ITEMSIZE)
+    n_over = formats._CHUNK_BYTES // (m * GATHER_ITEMSIZE) + 1
     return [(m, 3, k), (m, n_three, k), (m, n_over, k)]
 
 
@@ -80,9 +89,9 @@ class TestChunkedAccumulateMatchesPerStepLoop:
     def test_shapes_cover_the_chunk_cases(self, fmt):
         (m1, n1, k), (m3, n3, _), (mo, no, _) = chunk_shapes(fmt)
         slots = k // 2
-        assert chunk_steps(fmt, m1, n1) >= k  # one chunk, even for gemm_dense's K steps
-        assert chunk_steps(fmt, m3, n3) == 3 and slots % 3 and k % 3
-        assert chunk_steps(fmt, mo, no) == 1
+        assert chunk_steps(m1, n1) >= k  # one chunk, even for gemm_dense's K steps
+        assert chunk_steps(m3, n3) == 3 and slots % 3 and k % 3
+        assert chunk_steps(mo, no) == 1
 
     @pytest.mark.parametrize("fmt", SPARSE_FORMATS, ids=str)
     def test_spmm_and_gemm_dense(self, rng, fmt):
@@ -128,16 +137,25 @@ class TestChunkedAccumulateMatchesPerStepLoop:
 
     def test_int8_int32_wrap(self, rng):
         # values past the int8 range, built directly, make sums that wrap int32
+        low, high = -(2**31), 2**31
         for m, n, k in chunk_shapes(s.INT8):
             _, sp, _ = make_case(rng, m, n, k, s.INT8)
-            values = rng.integers(2**19, 2**20, size=sp.values.shape).astype(np.int32)
-            sp = s.SparseNM(k, s.PATTERN_24, values, sp.meta, s.INT8)
-            b = s.DenseMatrix(rng.integers(2**19, 2**20, size=(k, n)).astype(np.int32), s.INT8)
-            got, expect = s.spmm(sp, b).data, spmm_oracle(sp, b)
-            assert (got < 0).any()  # positive products only: wrapped
-            assert got.dtype == expect.dtype == np.int32 and got.tobytes() == expect.tobytes()
-            a = s.decompress(sp)
-            assert s.gemm_dense(a, b).data.tobytes() == gemm_dense_oracle(a, b).tobytes()
+            for lo, hi in [(2**19, 2**20), (low, high)]:
+                values = rng.integers(lo, hi, size=sp.values.shape).astype(np.int32)
+                bvals = rng.integers(lo, hi, size=(k, n)).astype(np.int32)
+                if lo == low:
+                    # row 0 and column 0 hold -2**31 only: each product is 2**62
+                    values[0], bvals[:, 0] = low, low
+                sp = s.SparseNM(k, s.PATTERN_24, values, sp.meta, s.INT8)
+                b = s.DenseMatrix(bvals, s.INT8)
+                got, expect = s.spmm(sp, b).data, spmm_oracle(sp, b)
+                if lo == low:
+                    assert got[0, 0] == 0  # a sum of multiples of 2**62 wraps to 0
+                else:
+                    assert (got < 0).any()  # positive products only: wrapped
+                assert got.dtype == expect.dtype == np.int32 and got.tobytes() == expect.tobytes()
+                a = s.decompress(sp)
+                assert s.gemm_dense(a, b).data.tobytes() == gemm_dense_oracle(a, b).tobytes()
 
 
 class TestSpmm:

@@ -221,6 +221,13 @@ class TestPermutationSearch:
         baseline = s.prune_magnitude(w, s.PATTERN_24).retained_magnitude
         assert res.retained_magnitude == pytest.approx(baseline)
 
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_zero_columns_give_identity_and_empty_mask(self, mode):
+        w = s.DenseMatrix(np.zeros((4, 0), dtype=np.float32), s.FP32)
+        perm, res = s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode=mode))
+        assert perm.size == 0 and perm.is_identity()
+        assert res.mask.bits.shape == (4, 0) and res.retained_magnitude == res.lost_magnitude == 0.0
+
     def test_greedy_never_worse_than_identity(self, rng):
         for _ in range(50):
             w = random_dense(rng, 8, 8, s.FP32)
