@@ -153,7 +153,8 @@ def cmd_check(src, pattern, entry):
 @click.option("--mask", default="magnitude", show_default=True, help="How to find the mask.",
               type=click.Choice(["magnitude", "permute-greedy", "permute-exhaustive", "transposable"]))
 @click.option("--entry", default=None)
-@click.option("--seed", default=0, show_default=True, help="Seed of the greedy permutation search.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Seed of the greedy permutation search.")
 def cmd_prune(src, dst, pattern, mask, entry, seed):
     """Magnitude-prune a dense entry; optionally permute columns first or
     enforce the constraint along both rows and columns."""
@@ -227,7 +228,7 @@ def cmd_calibrate(src, dst, method, granularity):
 @click.option("--format", "fmt_name", type=click.Choice(list(_FORMATS)), default="int8", show_default=True)
 @_PATTERN
 @click.option("--repeats", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
     """Wall-clock sparse-vs-dense comparison; CSV on stdout.
 
@@ -247,7 +248,7 @@ def cmd_bench(sizes, fmt_name, pattern, repeats, seed):
 @click.option("--samples", type=click.IntRange(min=1), default=512, show_default=True)
 @click.option("--hidden", default="64", show_default=True, help="Comma-separated hidden sizes.",
               callback=_parsed_by(_hidden_sizes))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_demo_workflow(recipe_path, features, classes, samples, hidden, seed):
     """Run a recipe end to end on the synthetic classification task."""
     with open(recipe_path) as f:
@@ -255,7 +256,7 @@ def cmd_demo_workflow(recipe_path, features, classes, samples, hidden, seed):
     data = make_blobs(samples=samples, features=features, classes=classes, seed=seed)
     report = run_recipe(recipe, TinyNet.init([features, *hidden, classes], seed=seed), data)
     for phase in report["phases"]:
-        metrics = {k: v for k, v in phase.items() if k not in ("name", "kind", "weight_scales")}
+        metrics = {k: v for k, v in phase.items() if k not in ("name", "kind")}
         rendered = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in metrics.items())
         click.echo(f"{phase['name']} ({phase['kind']}): {rendered}")
     click.echo(f"final_accuracy={report['final_accuracy']:.4f}")

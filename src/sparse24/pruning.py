@@ -92,7 +92,13 @@ def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:
     """
     absw = np.abs(pattern.groups(w.data))
     require_finite(absw, "weights")
-    return _prune_result(absw, pattern.keep(absw).reshape(w.rows, w.cols))
+    return _keep_largest(absw, pattern)
+
+
+def _keep_largest(absw: np.ndarray, pattern: NMPattern) -> PruneResult:
+    """:func:`prune_magnitude` on finite magnitudes in (rows, groups, m) layout."""
+    rows, groups, m = absw.shape
+    return _prune_result(absw, pattern.keep(absw).reshape(rows, groups * m))
 
 
 def _prune_result(absw: np.ndarray, bits: np.ndarray) -> PruneResult:
@@ -146,15 +152,6 @@ def enumerate_group_partitions(cols: int, m: int):
     yield from rec(tuple(range(cols)))
 
 
-def _top_n(absw: np.ndarray, pattern: NMPattern) -> np.ndarray:
-    """The n largest magnitudes of every aligned group of m, shape (rows, groups, n)."""
-    return -np.partition(-pattern.groups(absw), pattern.n - 1, axis=2)[:, :, : pattern.n]
-
-
-def _retained(absw: np.ndarray, order: np.ndarray, pattern: NMPattern) -> float:
-    return float(_top_n(absw[:, order], pattern).sum())
-
-
 # A sweep's pairs are scored in runs of consecutive pairs in visiting order,
 # which may span positions. The first run holds _BATCH_ELEMENTS // rows
 # pairs, at least _FIRST_BATCH; a run without an improving swap doubles the
@@ -194,15 +191,14 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
     n, m = pattern.n, pattern.m
     cols, rows = len(order), absw.shape[0]
     groups = cols // m
-    cur = np.ascontiguousarray(absw[:, order].T)  # cur[p]: |w| of the column at position p
+    cur = np.ascontiguousarray(absw[:, order].T, dtype=np.float64)  # cur[p]: |w| of the column at position p
     # For position p, over the m - 1 other entries of its group in each row:
     # thr[p] is their n-th largest and base_sum[p] sums their n largest over
     # all rows, so a column x placed at p makes the group score
     # base_sum[p] + sum(max(x - thr[p], 0)). sums[p] holds base_sum[p] and
-    # the score of p's group.
+    # the score of p's group, the sum of its n largest per row.
     thr, sums = np.empty_like(cur), np.empty((cols, 2))
     base_sum, score = sums.T
-    score[:] = np.repeat(_top_n(absw[:, order], pattern).sum(axis=(0, 2)), m)
 
     def refresh(sel: slice):
         blocks = cur.reshape(groups, m, rows)[sel]
@@ -212,6 +208,7 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
         # taking an entry out of the top n lets the (n+1)-th largest in
         inside = blocks >= nth
         base_sum.reshape(groups, m)[sel] = np.where(inside, top_sum - blocks + after, top_sum).sum(axis=2)
+        score.reshape(groups, m)[sel] = top_sum.sum(axis=2)
         thr.reshape(groups, m, rows)[sel] = np.where(inside, after, nth)
 
     refresh(slice(None))
@@ -250,7 +247,6 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
             order[i], order[j] = order[j], order[i]
             cur[i], cur[j] = cur[j], cur[i].copy()
             gi, gj = i // m, j // m  # gi < gj: q lies in a later group
-            score[gi * m : gi * m + m], score[gj * m : gj * m + m] = new[k].tolist()
             refresh(slice(gi, gj + 1, gj - gi))
             improved = True
             t, run = t + k + 1, first_run
@@ -261,13 +257,12 @@ def find_permutation(
     w: DenseMatrix, pattern: NMPattern, budget: SearchBudget | None = None
 ) -> tuple[Permutation, PruneResult]:
     """Search for a column permutation maximizing retained magnitude after
-    pruning. Identity is always a candidate, and candidates are ranked by a
-    float64 sum of their kept magnitudes, group by group, so the chosen order
-    never ranks below identity; the result reports :func:`prune_magnitude`'s
-    row-major sum. Where both sums are exact, the result is never worse than
-    the unpermuted baseline: for INT8 weights, and for FP16 weights with at
-    most 8192 kept values, each a multiple of 2**-24 below 2**16. For FP32,
-    TF32 and BF16 weights the two sums can round about an ulp apart.
+    pruning. Each candidate order (identity first, then each greedy
+    restart's final order or each exhaustive partition) is pruned by
+    :func:`prune_magnitude`'s keep rule and sums, and the first candidate
+    with the largest retained magnitude is returned with its
+    :class:`PruneResult`. The result therefore never retains less than
+    ``prune_magnitude(w, pattern)``, in any format.
 
     Greedy mode climbs by first-improvement swaps of two columns in different
     groups, visiting pairs in lexicographic order and charging each scored
@@ -287,39 +282,35 @@ def find_permutation(
     """
     if budget is None:
         budget = SearchBudget()
-    pattern.check_divides(w.cols)
-    require_finite(w.data, "weights")
-    absw = np.abs(w.data.astype(np.float64))
-    identity = np.arange(w.cols)
-    best_order = identity
-    best_val = _retained(absw, identity, pattern)
+    best_order, best = np.arange(w.cols), prune_magnitude(w, pattern)
+    absw = np.abs(w.data)
+
+    def consider(order: np.ndarray) -> None:
+        nonlocal best_order, best
+        # take copies in row-major order (absw[:, order] would not), so the
+        # sums add as they do in prune_magnitude(permute_columns(w, order))
+        result = _keep_largest(pattern.groups(np.take(absw, order, axis=1)), pattern)
+        if result.retained_magnitude > best.retained_magnitude:
+            best_order, best = order, result
 
     if budget.mode == "exhaustive":
         visited = 0
         for order in enumerate_group_partitions(w.cols, pattern.m):
             visited += 1
-            order = np.array(order, dtype=np.intp)  # intp even when empty: zero columns
-            val = _retained(absw, order, pattern)
-            if val > best_val:
-                best_val, best_order = val, order
+            consider(np.array(order, dtype=np.intp))  # intp even when empty: zero columns
         budget.stats["partitions_visited"] = visited
     elif budget.mode == "greedy":
         rng = np.random.default_rng(budget.seed)
         swaps_left = budget.max_swaps
         for restart in range(max(1, budget.restarts)):
-            order = identity.copy() if restart == 0 else rng.permutation(w.cols)
+            order = np.arange(w.cols) if restart == 0 else rng.permutation(w.cols)
             if swaps_left > 0:
                 swaps_left = _greedy_sweeps(absw, order, pattern, swaps_left)
-            val = _retained(absw, order, pattern)
-            if val > best_val:
-                best_val, best_order = val, order
+            consider(order)
         budget.stats["swaps_used"] = budget.max_swaps - swaps_left
     else:
         raise SearchModeError(f"unknown search mode {budget.mode!r}")
-
-    perm = Permutation(best_order)
-    result = prune_magnitude(permute_columns(w, perm), pattern)
-    return perm, result
+    return Permutation(best_order), best
 
 
 # --- masks valid along rows and columns (4x4 tiles, 2:4 both ways) ---

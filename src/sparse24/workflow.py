@@ -17,7 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from .calibration import CalibMethod, Granularity, calibrate
 from .codec import Mask
 from .formats import FP32, PATTERN_24, DenseMatrix, FormatError, NMPattern, NumericFormat, ShapeError
 from .pruning import prune_magnitude
@@ -177,10 +176,19 @@ def train(
     :class:`ShapeError`), masked weights are re-zeroed after every step so
     the sparsity pattern survives momentum and weight decay. Returns a new
     net that owns its arrays and ``{"loss": [mean batch loss per epoch]}``.
+    A dataset that does not fit the net (``x`` not (samples, inputs), or
+    ``y`` not one integer label in [0, outputs) per sample) raises
+    :class:`ShapeError` before the first step.
     Accuracy is left to the caller: it reads the weights without changing
     them, so measuring it here would cost a forward pass per epoch for
     nothing.
     """
+    inputs, outputs = net.weights[0].shape[1], net.weights[-1].shape[0]
+    x, y = data.x, data.y
+    if x.ndim != 2 or x.shape[1] != inputs:
+        raise ShapeError(f"x has shape {x.shape}, the net takes (samples, {inputs})")
+    if y.shape != x.shape[:1] or y.dtype.kind not in "iu" or (y.size and not 0 <= y.min() <= y.max() < outputs):
+        raise ShapeError(f"y ({y.dtype}, shape {y.shape}) must hold one integer label in [0, {outputs}) per sample")
     masks = masks or {}
     layers = len(net.weights)
     bad = [key for key in masks if key not in range(layers)]
@@ -335,7 +343,8 @@ def validate_recipe(recipe: Recipe) -> None:
 
 
 def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
-    """Execute a validated recipe on a tiny net; returns per-phase metrics."""
+    """Execute a validated recipe on a tiny net; returns per-phase metrics.
+    A calibrate phase records nothing: no export reads scales yet."""
     validate_recipe(recipe)
     masks: dict[int, Mask] = {}
     report: dict = {"phases": []}
@@ -358,16 +367,6 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
             entry["retained_magnitude"] = retained
             entry["lost_magnitude"] = lost
             entry["train_accuracy"] = net.accuracy(data.x, data.y)
-        elif phase.kind is PhaseKind.CALIBRATE:
-            scales = [
-                calibrate(
-                    [DenseMatrix(w.astype(np.float32), FP32)],
-                    CalibMethod("max"),
-                    Granularity.PER_ROW,
-                )
-                for w in net.weights
-            ]
-            entry["weight_scales"] = [s.scales.tolist() for s in scales]
         report["phases"].append(entry)
     report["final_accuracy"] = net.accuracy(data.x, data.y)
     report["net"] = net

@@ -185,6 +185,9 @@ class TestUsageErrors:
             (["demo-workflow", "--recipe", "{recipe}", "--features", "0"], "--features"),
             (["demo-workflow", "--recipe", "{recipe}", "--classes", "0"], "--classes"),
             (["demo-workflow", "--recipe", "{recipe}", "--samples", "0"], "--samples"),
+            (["demo-workflow", "--recipe", "{recipe}", "--seed", "-1"], "--seed"),
+            (["prune", "{src}", "{dst}", "--mask", "permute-greedy", "--seed", "-1"], "--seed"),
+            (["bench", "--seed", "-1"], "--seed"),
         ],
         ids=[
             "method_unknown",
@@ -201,6 +204,9 @@ class TestUsageErrors:
             "features_zero",
             "classes_zero",
             "samples_zero",
+            "demo_seed_negative",
+            "prune_seed_negative",
+            "bench_seed_negative",
         ],
     )
     def test_exit_2(self, runner, tmp_path, rng, args, option):

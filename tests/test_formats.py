@@ -186,10 +186,14 @@ def test_error_codes_distinct_and_stable():
         s.SearchModeError: "search_mode",
         s.ScaleError: "scale",
         s.CalibMethodError: "calib_method",
+        s.HistogramError: "histogram",
         s.DivergenceError: "divergence",
         EntryError: "entry",
     }
     assert {cls: cls.code for cls in codes} == codes
+    # every exception class the package exports has an entry here
+    exported = {v for v in vars(s).values() if isinstance(v, type) and issubclass(v, Exception)}
+    assert exported <= set(codes)
     # the CLI reports an OSError, which has no code of its own, as "io"
     assert len(set(codes.values()) | {"io"}) == len(codes) + 1
 

@@ -94,6 +94,38 @@ class TestTrainer:
             s.train(net, blobs, s.Schedule(epochs=20, lr=1e6))
 
 
+class TestDatasetFit:
+    """A dataset that does not fit the net is a ShapeError before any step,
+    never numpy's matmul ValueError or an IndexError on a label."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda d: s.make_blobs(samples=64, features=16, classes=4, seed=1),  # 16 features, 8 inputs
+            lambda d: s.make_blobs(samples=64, features=8, classes=8, seed=1),  # labels up to 7, 4 outputs
+            lambda d: s.Dataset(d.x[:, :, None], d.y),
+            lambda d: s.Dataset(d.x, d.y[:-1]),
+            lambda d: s.Dataset(d.x, d.y[:, None]),
+            lambda d: s.Dataset(d.x, d.y.astype(np.float64)),
+            lambda d: s.Dataset(d.x, d.y - 1),
+        ],
+        ids=["features", "classes", "x_3d", "y_short", "y_2d", "y_float", "y_negative"],
+    )
+    def test_misfit_dataset_rejected(self, make):
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        data = make(s.make_blobs(samples=64, features=8, classes=4, seed=1))
+        with pytest.raises(s.ShapeError):
+            s.train(net, data, s.Schedule(epochs=1, lr=0.05))
+        with pytest.raises(s.ShapeError):
+            s.run_recipe(s.parse_recipe(RECIPE_BASIC), net, data)
+
+    def test_empty_dataset_fits(self):
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        data = s.Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+        out, hist = s.train(net, data, s.Schedule(epochs=2, lr=0.05))
+        assert hist["loss"] == [0.0, 0.0]
+
+
 def reference_loss_and_grads(net, x, y):
     """Plain forward and backward pass of its own: the oracle for
     ``TinyNet.loss_and_grads``."""
