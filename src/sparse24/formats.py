@@ -13,12 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .kernels import MultiplyAddCounter
 
 
 class ElemType(Enum):
@@ -305,6 +301,16 @@ def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 # per core, numpy 2.4) found 256 KiB to 1 MiB equal within noise, and smaller
 # or larger budgets slower. INT8 gathers int32, 4 bytes like fp16's float32.
 _CHUNK_BYTES = 1 << 19
+
+
+@dataclass
+class MultiplyAddCounter:
+    """Sums the multiply-add counts that :func:`_accumulate` gives it."""
+
+    count: int = 0
+
+    def add(self, n: int) -> None:
+        self.count += n
 
 
 def _accumulate(

@@ -2,9 +2,8 @@
 
 The kernel gathers rows of B through the positional metadata (one gathered row
 per kept value) and never materializes the decompressed operand. An optional
-multiply-add counter is given c * M * N by the accumulate loop for each chunk
-of c kept slots it runs, which totals cols_kept * M * N per call (M*N*K*n/m
-for a conforming operand) when every chunk runs. The kernel gathers and
+:class:`MultiplyAddCounter` sums the multiply-adds the loop runs, cols_kept *
+M * N per call (M*N*K*n/m for a conforming operand). The kernel gathers and
 scales the rows of a chunk of kept slots per numpy call, then adds the chunk's
 products one slot at a time, so every output element still adds its products
 in ascending original-column order of the kept values. That is the
@@ -28,6 +27,7 @@ from .formats import (
     AccType,
     DenseMatrix,
     GemmShape,
+    MultiplyAddCounter,
     NMPattern,
     NumericFormat,
     ShapeError,
@@ -35,17 +35,6 @@ from .formats import (
     gemm_dense,
 )
 from .pruning import prune_magnitude
-
-
-@dataclass
-class MultiplyAddCounter:
-    """Sums the multiply-add counts :func:`spmm` records: c * M * N for each
-    chunk of c kept slots its loop runs, so cols_kept * M * N per call."""
-
-    count: int = 0
-
-    def add(self, n: int) -> None:
-        self.count += n
 
 
 def spmm_flops(shape: GemmShape, pattern: NMPattern) -> int:

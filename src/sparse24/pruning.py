@@ -7,6 +7,7 @@ Tie-breaking everywhere keeps the lower index so masks are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ class PermutationError(ValueError):
 
 
 class SearchModeError(ValueError):
-    """A permutation search mode other than exhaustive or greedy."""
+    """A permutation search mode other than exhaustive or greedy, or an
+    exhaustive search over more partitions than ``max_swaps``."""
 
     code = "search_mode"
 
@@ -47,6 +49,7 @@ class Permutation:
         if sorted(p.tolist()) != list(range(len(p))):
             raise PermutationError("not a bijection on [0, C)")
         p.setflags(write=False)
+        object.__setattr__(self, "perm", p)
 
     @property
     def size(self) -> int:
@@ -69,9 +72,9 @@ class Permutation:
 class SearchBudget:
     """Controls for the permutation search.
 
-    mode="exhaustive" enumerates all distinct group partitions (feasible for
-    small C); mode="greedy" runs pairwise-column-swap hill climbing with
-    restarts. ``stats`` is filled in by the search (e.g. partitions_visited).
+    mode="exhaustive" enumerates all distinct group partitions, if at most
+    ``max_swaps``; mode="greedy" runs pairwise-column-swap hill climbing
+    with restarts. ``stats`` is filled in by the search (e.g. swaps_used).
     """
 
     mode: str = "greedy"
@@ -276,6 +279,8 @@ def find_permutation(
     improving pair is the one taken, so the swaps made, their order and the
     swaps charged are those of a walk that scores one pair at a time.
 
+    Exhaustive mode first raises :class:`SearchModeError` if there are more
+    partitions (:func:`enumerate_group_partitions`) than ``max_swaps``.
     Swaps compare sums of 2 * rows * n magnitudes, so their decisions are
     exact for FP16 weights with rows <= 2048 at 2:4. Raises
     :class:`NonFiniteError` on NaN or ±inf weights.
@@ -294,6 +299,10 @@ def find_permutation(
             best_order, best = order, result
 
     if budget.mode == "exhaustive":
+        groups = w.cols // pattern.m
+        partitions = math.factorial(w.cols) // (math.factorial(pattern.m) ** groups * math.factorial(groups))
+        if partitions > budget.max_swaps:
+            raise SearchModeError(f"{partitions} partitions of {w.cols} columns exceed max_swaps={budget.max_swaps}")
         visited = 0
         for order in enumerate_group_partitions(w.cols, pattern.m):
             visited += 1

@@ -12,6 +12,7 @@ import configparser
 import io
 import itertools
 import math
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,15 +27,12 @@ from .pruning import prune_magnitude
 
 
 class LayerKind(Enum):
+    """The kinds :func:`eligible` tells apart. ``FULLY_CONNECTED`` covers a recurrent
+    layer's gate GEMMs too; ``OTHER`` (embeddings, training-only heads) is not GEMM-like."""
+
     CONV = "conv"
     FULLY_CONNECTED = "fully_connected"
-    RECURRENT = "recurrent"
-    EMBEDDING = "embedding"
-    HEAD_TRAINING_ONLY = "head_training_only"
     OTHER = "other"
-
-
-_GEMM_KINDS = {LayerKind.CONV, LayerKind.FULLY_CONNECTED, LayerKind.RECURRENT}
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class LayerManifest:
 
 def eligible(layer: LayerManifest) -> tuple[bool, str]:
     """Decide whether a layer should be pruned, with a reason string."""
-    if layer.kind not in _GEMM_KINDS:
+    if layer.kind is LayerKind.OTHER:
         return False, f"{layer.kind.value} layers are not GEMM-like"
     if layer.kind is LayerKind.CONV and layer.is_first and layer.in_channels == 3:
         return False, "first convolution on 3-channel input"
@@ -392,16 +390,13 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
 # schedule: it runs the schedule of the dense phase it repeats, by default
 # the last dense phase before the prune.
 
-_SCHEDULE_KEYS = {
-    "epochs": int,
-    "lr": float,
-    "batch_size": int,
-    "momentum": float,
-    "weight_decay": float,
-    "lr_decay_epochs": lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
-    "lr_decay_factor": float,
-    "seed": int,
+# every Schedule field is a key, parsed by its type; a type missing here fails at import
+_TYPE_PARSERS = {
+    int: int,
+    float: float,
+    tuple[int, ...]: lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
 }
+_SCHEDULE_KEYS = {key: _TYPE_PARSERS[hint] for key, hint in typing.get_type_hints(Schedule).items()}
 _KIND_KEYS = {
     PhaseKind.TRAIN_DENSE: _SCHEDULE_KEYS,
     PhaseKind.FINETUNE_SPARSE: _SCHEDULE_KEYS,

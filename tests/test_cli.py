@@ -51,6 +51,15 @@ class TestPruneCheckPipeline:
         arch = s.read_archive(dst)
         assert "w.permutation" in arch.entries
 
+    def test_exhaustive_over_budget_is_a_data_error(self, runner, tmp_path, rng):
+        src = tmp_path / "w.s24t"
+        dst = tmp_path / "p.s24t"
+        write_dense(src, random_dense(rng, 4, 32, s.FP16))
+        result = runner.invoke(main, ["prune", str(src), str(dst), "--mask", "permute-exhaustive"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[search_mode]:")
+        assert not dst.exists()
+
     @pytest.mark.parametrize("mask", ["permute-greedy", "permute-exhaustive"])
     def test_permute_zero_columns(self, runner, tmp_path, mask):
         src = tmp_path / "z.s24t"

@@ -228,6 +228,21 @@ class TestPermutationSearch:
         assert perm.size == 0 and perm.is_identity()
         assert res.mask.bits.shape == (4, 0) and res.retained_magnitude == res.lost_magnitude == 0.0
 
+    def test_exhaustive_over_budget_raises_before_searching(self, rng):
+        # 32 columns at 2:4: 5.9e19 partitions, far over the default 10 000
+        w = random_dense(rng, 4, 32, s.FP16)
+        with pytest.raises(s.SearchModeError) as exc:
+            s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="exhaustive"))
+        assert exc.value.code == "search_mode" and "59287247761257140625 partitions" in str(exc.value)
+
+    def test_exhaustive_bound_is_the_partition_count(self, rng):
+        w = random_dense(rng, 4, 12, s.FP16)  # 5 775 partitions
+        budget = s.SearchBudget(mode="exhaustive", max_swaps=5775)
+        s.find_permutation(w, s.PATTERN_24, budget)
+        assert budget.stats["partitions_visited"] == 5775
+        with pytest.raises(s.SearchModeError):
+            s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="exhaustive", max_swaps=5774))
+
     def test_greedy_never_worse_than_identity(self, rng):
         for _ in range(50):
             w = random_dense(rng, 8, 8, s.FP32)
@@ -439,16 +454,31 @@ class TestPropagatePermutation:
     def test_not_a_bijection_rejected(self):
         with pytest.raises(s.PermutationError):
             s.Permutation(np.array([0, 0, 1]))
+        with pytest.raises(s.PermutationError):
+            s.Permutation([0, 0, 1])
 
     @pytest.mark.parametrize(
         "perm",
-        [np.array([1.0, 0.0, 3.0, 2.0], dtype=np.float32), np.array([True, False]), np.array(0)],
-        ids=["float32", "bool", "0d"],
+        [
+            np.array([1.0, 0.0, 3.0, 2.0], dtype=np.float32),
+            np.array([True, False]),
+            np.array(0),
+            [1.0, 0.0],
+            [[0, 1]],
+        ],
+        ids=["float32", "bool", "0d", "float_list", "2d_list"],
     )
     def test_non_integer_or_not_1d_rejected(self, perm):
         # float32 is the layout of the `.permutation` entry `sparse24 prune --mask permute-*` writes
         with pytest.raises(s.PermutationError):
             s.Permutation(perm)
+
+    def test_list_stored_as_read_only_integer_array(self):
+        perm = s.Permutation([1, 0, 2, 3])
+        assert isinstance(perm.perm, np.ndarray) and perm.perm.dtype.kind == "i"
+        assert perm.perm.tolist() == [1, 0, 2, 3]
+        with pytest.raises(ValueError):
+            perm.perm[0] = 0
 
 
 def tile_enumeration_oracle():

@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
@@ -42,13 +45,10 @@ class TestEligibility:
         ok, reason = s.eligible(manifest(dtype=s.INT8, gemm_k=48))
         assert not ok and "multiple of 32" in reason
 
-    def test_embedding_ineligible(self):
-        ok, reason = s.eligible(manifest(kind=LayerKind.EMBEDDING))
+    def test_other_ineligible(self):
+        # embeddings and training-only heads
+        ok, reason = s.eligible(manifest(kind=LayerKind.OTHER))
         assert not ok and "not GEMM-like" in reason
-
-    def test_training_only_head_ineligible(self):
-        ok, _ = s.eligible(manifest(kind=LayerKind.HEAD_TRAINING_ONLY))
-        assert not ok
 
     def test_fp32_has_no_sparse_mode(self):
         ok, reason = s.eligible(manifest(dtype=s.FP32))
@@ -356,6 +356,39 @@ epochs = 2
 lr = 0.005
 seed = 4
 """
+
+
+# per Schedule field type: recipe text and the value it parses to, unlike every default
+NON_DEFAULT = {int: ("7", 7), float: ("0.375", 0.375), tuple[int, ...]: ("2, 5", (2, 5))}
+
+
+def schedule_recipe(section, key, text):
+    """A train, prune, retrain, finetune recipe whose ``section`` phase sets ``key``."""
+    phases = {
+        "train": ["kind = train_dense", "epochs = 10", "lr = 0.05"],
+        "prune": ["kind = prune"],
+        "retrain": ["kind = retrain_sparse"],
+        "finetune": ["kind = finetune_sparse", "epochs = 2", "lr = 0.005"],
+    }
+    kept = [line for line in phases[section] if not line.startswith(f"{key} =")]
+    phases[section] = kept + [f"{key} = {text}"]
+    return "".join(f"[phase.{name}]\n" + "\n".join(lines) + "\n" for name, lines in phases.items())
+
+
+class TestScheduleKeys:
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(s.Schedule)])
+    @pytest.mark.parametrize("section, base", [("train", (10, 0.05)), ("finetune", (2, 0.005))])
+    def test_every_field_round_trips(self, key, section, base):
+        text, value = NON_DEFAULT[typing.get_type_hints(s.Schedule)[key]]
+        phases = {p.name: p for p in s.parse_recipe(schedule_recipe(section, key, text)).phases}
+        expected = dataclasses.replace(s.Schedule(*base), **{key: value})
+        assert phases[section].schedule == expected != s.Schedule(*base)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(s.Schedule)])
+    def test_retrain_rejects_every_field(self, key):
+        text, _ = NON_DEFAULT[typing.get_type_hints(s.Schedule)[key]]
+        with pytest.raises(s.RecipeError, match=repr(key)):
+            s.parse_recipe(schedule_recipe("retrain", key, text))
 
 
 class TestRecipes:
