@@ -45,10 +45,13 @@ class TestEligibility:
         ok, reason = s.eligible(manifest(dtype=s.INT8, gemm_k=48))
         assert not ok and "multiple of 32" in reason
 
-    def test_other_ineligible(self):
-        # embeddings and training-only heads
-        ok, reason = s.eligible(manifest(kind=LayerKind.OTHER))
+    def test_embedding_ineligible(self):
+        ok, reason = s.eligible(manifest(name="embedding", kind=LayerKind.OTHER))
         assert not ok and "not GEMM-like" in reason
+
+    def test_training_only_head_ineligible(self):
+        ok, _ = s.eligible(manifest(name="aux_head", kind=LayerKind.OTHER))
+        assert not ok
 
     def test_fp32_has_no_sparse_mode(self):
         ok, reason = s.eligible(manifest(dtype=s.FP32))
