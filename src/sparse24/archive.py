@@ -226,7 +226,10 @@ def write_archive(archive: TensorArchive, path) -> None:
         f.write(struct.pack("<HI", VERSION, len(archive.entries)))
         for name, entry in archive.entries.items():
             kind, fields, payload = _encode_entry(entry)
-            encoded = name.encode()
+            try:
+                encoded = name.encode()
+            except UnicodeEncodeError as exc:
+                raise InvariantError(f"entry name is not encodable as UTF-8: {exc}") from exc
             if len(encoded) > 0xFFFF:
                 raise InvariantError(f"entry name is {len(encoded)} bytes, the limit is 65535")
             f.write(struct.pack("<H", len(encoded)))

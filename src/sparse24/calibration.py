@@ -50,7 +50,7 @@ class ScaleSet:
     scales: np.ndarray  # finite positive float64, length 1 (per tensor) or rows
 
     def __post_init__(self):
-        s = np.asarray(self.scales, dtype=np.float64)
+        s = np.array(self.scales, dtype=np.float64)  # a copy, frozen below: the caller's array stays writable
         if s.ndim != 1 or not np.all((s > 0) & (s < np.inf)):
             raise ScaleError("scales must be a 1-D array of finite positive values")
         if self.granularity is Granularity.PER_TENSOR and len(s) != 1:

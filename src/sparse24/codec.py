@@ -135,21 +135,13 @@ def _group_counts(flags: np.ndarray) -> np.ndarray:
     return np.add.reduce(planes, axis=0, dtype=np.uint8).reshape(rows, groups)
 
 
-def _nonzero_groups(a: DenseMatrix, pattern: NMPattern) -> np.ndarray:
-    """The nonzero flags of ``a`` in (rows, cols/m, m) groups; raises
-    :class:`ConformanceError` if a group has more than n nonzeros."""
-    nz = pattern.groups(a.data != 0)
-    counts = _group_counts(nz)
-    if not np.all(counts <= pattern.n):
-        r, g = np.argwhere(counts > pattern.n)[0]
-        raise ConformanceError(int(r), int(g), f"{counts[r, g]} nonzeros exceed the {pattern} pattern")
-    return nz
-
-
 def check_conformance(a: DenseMatrix, pattern: NMPattern) -> None:
     """Raise :class:`ConformanceError` unless every aligned group of m row
     elements has at most n nonzeros."""
-    _nonzero_groups(a, pattern)
+    counts = _group_counts(pattern.groups(a.data != 0))
+    if not np.all(counts <= pattern.n):
+        r, g = np.argwhere(counts > pattern.n)[0]
+        raise ConformanceError(int(r), int(g), f"{counts[r, g]} nonzeros exceed the {pattern} pattern")
 
 
 def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
@@ -160,7 +152,11 @@ def compress(a: DenseMatrix, pattern: NMPattern) -> SparseNM:
     order with value 0 (canonical padding).
     """
     # nonzeros outrank zeros; row-major order lists each group's indices ascending
-    flat = np.flatnonzero(pattern.keep(_nonzero_groups(a, pattern)))
+    nz = pattern.groups(a.data != 0)
+    kept = pattern.keep(nz)
+    if (nz > kept).any():  # a dropped nonzero: its group holds more than n
+        check_conformance(a, pattern)
+    flat = np.flatnonzero(kept)
     rows, cols_kept = a.rows, a.cols // pattern.m * pattern.n
     return SparseNM(
         cols_orig=a.cols,

@@ -148,17 +148,17 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     """
     if elem is ElemType.INT8:
         return np.clip(np.rint(np.asarray(x, dtype=np.float64)), -128, 127).astype(np.int32)
+    if elem is ElemType.FP32:  # a copy even of float32 input: the caller's array stays its own
+        return np.array(x, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
-    if elem is ElemType.FP32:
-        return x.copy()
     if elem is ElemType.FP16:
         return x.astype(np.float16).astype(np.float32)
     if elem is ElemType.BF16:
         bits = x.view(np.uint32)
         rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-        return (rounded & np.uint32(0xFFFF0000)).view(np.float32).copy()
+        return (rounded & np.uint32(0xFFFF0000)).view(np.float32)
     if elem is ElemType.TF32:
-        return (x.view(np.uint32) & np.uint32(0xFFFFE000)).view(np.float32).copy()
+        return (x.view(np.uint32) & np.uint32(0xFFFFE000)).view(np.float32)
     raise FormatError(f"unknown element type {elem}")
 
 
@@ -188,7 +188,7 @@ class DenseMatrix:
     @classmethod
     def from_values(cls, values, fmt: NumericFormat) -> "DenseMatrix":
         """Build a matrix, rounding arbitrary values into the element format."""
-        return cls(round_array(np.ascontiguousarray(values, dtype=np.float32), fmt.elem), fmt)
+        return cls(round_array(np.ascontiguousarray(values), fmt.elem), fmt)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class Permutation:
     perm: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.perm)
+        p = np.array(self.perm)  # a copy, frozen below: the caller's array stays writable
         if p.ndim != 1 or p.dtype.kind not in "iu":
             raise PermutationError(f"need a 1-D integer array, got {p.ndim}-D {p.dtype}")
         if sorted(p.tolist()) != list(range(len(p))):
@@ -303,11 +303,9 @@ def find_permutation(
         partitions = math.factorial(w.cols) // (math.factorial(pattern.m) ** groups * math.factorial(groups))
         if partitions > budget.max_swaps:
             raise SearchModeError(f"{partitions} partitions of {w.cols} columns exceed max_swaps={budget.max_swaps}")
-        visited = 0
         for order in enumerate_group_partitions(w.cols, pattern.m):
-            visited += 1
             consider(np.array(order, dtype=np.intp))  # intp even when empty: zero columns
-        budget.stats["partitions_visited"] = visited
+        budget.stats["partitions_visited"] = partitions
     elif budget.mode == "greedy":
         rng = np.random.default_rng(budget.seed)
         swaps_left = budget.max_swaps

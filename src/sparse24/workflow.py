@@ -101,6 +101,8 @@ class TinyNet:
 
     @classmethod
     def init(cls, layer_sizes: list[int], seed: int) -> "TinyNet":
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
+            raise ShapeError(f"need at least two layer sizes, each at least 1, got {list(layer_sizes)}")
         rng = np.random.default_rng(seed)
         ws, bs = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

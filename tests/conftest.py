@@ -16,9 +16,9 @@ def random_conforming(rng, rows, cols, fmt, pattern=s.PATTERN_24):
     """Random matrix satisfying the N:M constraint, built from a random mask."""
     dense = random_dense(rng, rows, cols, fmt)
     groups = cols // pattern.m
-    # argsort of random keys picks n-of-m positions uniformly per group
+    # the n smallest of m random keys pick n-of-m positions uniformly per group
     keys = rng.random((rows, groups, pattern.m))
-    bits = np.argsort(np.argsort(keys, axis=-1), axis=-1) < pattern.n
+    bits = keys <= np.partition(keys, pattern.n - 1, axis=-1)[..., pattern.n - 1 : pattern.n]
     mask = s.Mask(bits.reshape(rows, cols))
     return s.apply_mask(dense, mask)
 

@@ -304,6 +304,13 @@ class TestErrors:
             s.write_archive(arch, path)
         assert path.read_bytes() == raw
 
+    def test_name_not_encodable_as_utf8(self, tmp_path, rng):
+        path, raw = self._base(tmp_path, rng)
+        arch = s.TensorArchive().add("\ud800", random_dense(rng, 1, 1, s.FP32))
+        with pytest.raises(s.InvariantError):
+            s.write_archive(arch, path)
+        assert path.read_bytes() == raw
+
     def test_duplicate_entry_name_rejected(self, tmp_path, rng):
         # two one-entry archives named "w", joined under one 2-entry header
         path, first = self._base(tmp_path, rng)

@@ -381,6 +381,12 @@ class TestScaleSet:
         with pytest.raises(s.ScaleError):
             s.ScaleSet(s.Granularity.PER_TENSOR, np.array(scales))
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([0.5, 2.0])
+        scales = s.ScaleSet(s.Granularity.PER_ROW, a)
+        a[0] = 7.0
+        assert scales.scales.tolist() == [0.5, 2.0]
+
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):

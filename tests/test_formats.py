@@ -55,6 +55,13 @@ class TestRounding:
         x = 1.0 + 2.0**-10
         assert round_array([x], ElemType.TF32)[0] == x
 
+    def test_from_values_rounds_int8_once_in_float64(self):
+        # a float32 step first would give [[2, 2, 0]]
+        vals = [[1.4999999999, 2.5000001, -0.50000001]]
+        got = s.DenseMatrix.from_values(vals, s.INT8).data
+        assert got.tolist() == [[1, 3, -1]]
+        assert np.array_equal(got, round_array(np.array(vals), ElemType.INT8))
+
 
 class TestFormatPairs:
     def test_table_pairs_construct(self):

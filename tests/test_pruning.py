@@ -473,6 +473,12 @@ class TestPropagatePermutation:
         with pytest.raises(s.PermutationError):
             s.Permutation(perm)
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1, 0, 2, 3])
+        perm = s.Permutation(a)
+        a[0] = 5
+        assert perm.perm.tolist() == [1, 0, 2, 3]
+
     def test_list_stored_as_read_only_integer_array(self):
         perm = s.Permutation([1, 0, 2, 3])
         assert isinstance(perm.perm, np.ndarray) and perm.perm.dtype.kind == "i"

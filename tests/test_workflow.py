@@ -97,6 +97,13 @@ class TestTrainer:
             s.train(net, blobs, s.Schedule(epochs=20, lr=1e6))
 
 
+class TestInit:
+    @pytest.mark.parametrize("sizes", [[], [4], [4, 0], [0, 4], [4, 4, 0]])
+    def test_needs_two_positive_layer_sizes(self, sizes):
+        with pytest.raises(s.ShapeError):
+            s.TinyNet.init(sizes, 0)
+
+
 class TestDatasetFit:
     """A dataset that does not fit the net is a ShapeError before any step,
     never numpy's matmul ValueError or an IndexError on a label."""
