@@ -40,6 +40,7 @@ import numpy as np
 from .calibration import Granularity, ScaleSet
 from .codec import Mask, SparseNM
 from .formats import STORAGE_DTYPE, AccType, DenseMatrix, ElemType, NMPattern, NumericFormat
+from .formats import _from_storage, _to_storage
 
 MAGIC = b"S24T"
 VERSION = 1
@@ -97,10 +98,7 @@ class TensorArchive:
 
 def _encode_values(arr: np.ndarray, elem: ElemType) -> bytes:
     """The stored words of ``arr``; InvariantError unless they decode to it."""
-    words = arr
-    if elem is ElemType.BF16:  # the upper half of each float32 word
-        words = np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32) >> 16
-    raw = np.ascontiguousarray(words, dtype=STORAGE_DTYPE[elem]).tobytes()
+    raw = _to_storage(arr, elem).tobytes()
     back = _decode_values(raw, elem, arr.shape)
     # the plain comparison is the cheap one; only a NaN needs equal_nan
     if not (np.array_equal(back, arr) or np.array_equal(back, arr, equal_nan=True)):
@@ -118,11 +116,7 @@ def _decode_values(raw: bytes, elem: ElemType, shape: tuple[int, int]) -> np.nda
     # TF32, the one type stored wider than it is, must leave 13 low mantissa bits 0
     if elem is ElemType.TF32 and (flat.view(np.uint32) & np.uint32(0x1FFF)).any():
         raise InvariantError("a TF32 value has nonzero mantissa bits below its 10 explicit bits")
-    if elem is ElemType.INT8:
-        return flat.astype(np.int32).reshape(shape)
-    if elem is ElemType.BF16:
-        return (flat.astype(np.uint32) << 16).view(np.float32).reshape(shape)
-    return flat.astype(np.float32).reshape(shape)
+    return _from_storage(flat, elem).reshape(shape)
 
 
 def pack_bit_fields(rows: np.ndarray, bits_per_field: int) -> bytes:

@@ -65,8 +65,8 @@ class SparseNM:
     """Compressed operand: kept values and per-value intra-group indices.
 
     ``values`` has shape (R, C*n/m); ``meta`` has the same shape and holds the
-    unpacked intra-group index of each kept value, strictly increasing within
-    every group.
+    unpacked uint8 intra-group index of each kept value, strictly increasing
+    within every group.
     """
 
     cols_orig: int
@@ -95,8 +95,8 @@ class SparseNM:
     def validate(self) -> None:
         p = self.pattern
         p.check_divides(self.cols_orig)
-        if self.meta.dtype.kind not in "iu":
-            raise MetadataError(f"metadata must be integers, got {self.meta.dtype}")
+        if self.meta.dtype != np.uint8:
+            raise MetadataError(f"metadata must be uint8, got {self.meta.dtype}")
         if self.values.shape != self.meta.shape:
             raise MetadataError("values/meta shape mismatch")
         if self.cols_kept != self.groups_per_row * p.n:
@@ -105,9 +105,9 @@ class SparseNM:
             )
         grouped = self.meta.reshape(self.rows, self.groups_per_row, p.n)
         if grouped.size:
-            if grouped.min() < 0 or grouped.max() >= p.m:
+            if grouped.max() >= p.m:
                 raise MetadataError(f"metadata index out of range [0, {p.m})")
-            # compared, not differenced, so an unsigned dtype cannot wrap
+            # compared, not differenced, so uint8 cannot wrap
             if not np.all(grouped[..., :-1] < grouped[..., 1:]):
                 raise MetadataError("metadata indices not strictly increasing within group")
 
@@ -117,10 +117,8 @@ class SparseNM:
         return np.repeat(np.arange(self.groups_per_row) * p.m, p.n)
 
     def column_indices(self) -> np.ndarray:
-        """Original column index of every kept value, shape (R, C*n/m).
+        """Original column index of every kept value, shape (R, C*n/m), in ``intp``.
 
-        Computed in ``intp`` whatever the metadata's integer dtype: int64
-        starts plus uint64 metadata would otherwise promote to float64.
         Public, with :meth:`validate`, because the benchmark's tracer
         (``perfbench/spans.py``) binds both methods by name."""
         return np.add(self.group_starts()[None, :], self.meta, dtype=np.intp)

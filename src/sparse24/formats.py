@@ -139,34 +139,52 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} hold NaN or ±inf")
 
 
-def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
-    """Round values into the target element type (round-to-nearest-even).
-
-    Float formats return float32 arrays holding exactly-representable values;
-    INT8 rounds in float64, saturates to [-128, 127] and returns int32. TF32
-    keeps the FP32 value with the mantissa truncated to 10 explicit bits.
-    """
-    if elem is ElemType.INT8:
-        return np.clip(np.rint(np.asarray(x, dtype=np.float64)), -128, 127).astype(np.int32)
-    if elem is ElemType.FP32:  # a copy even of float32 input: the caller's array stays its own
-        return np.array(x, dtype=np.float32)
-    x = np.asarray(x, dtype=np.float32)
-    if elem is ElemType.FP16:
-        return x.astype(np.float16).astype(np.float32)
+def _to_storage(values: np.ndarray, elem: ElemType) -> np.ndarray:
+    """A new array of the ``STORAGE_DTYPE`` words of values ``elem`` holds."""
     if elem is ElemType.BF16:
-        bits = x.view(np.uint32)
-        rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-        return (rounded & np.uint32(0xFFFF0000)).view(np.float32)
+        return (values.view(np.uint32) >> 16).astype(STORAGE_DTYPE[elem])
     if elem is ElemType.TF32:
-        return (x.view(np.uint32) & np.uint32(0xFFFFE000)).view(np.float32)
-    raise FormatError(f"unknown element type {elem}")
+        return (values.view(np.uint32) & np.uint32(0xFFFFE000)).view(STORAGE_DTYPE[elem])
+    return values.astype(STORAGE_DTYPE[elem])
+
+
+def _from_storage(words: np.ndarray, elem: ElemType) -> np.ndarray:
+    """The in-memory values of storage words: int32 for INT8, else float32."""
+    if elem is ElemType.BF16:
+        return np.left_shift(words, 16, dtype=np.uint32).view(np.float32)
+    return words.astype(np.int32 if elem is ElemType.INT8 else np.float32, copy=False)
+
+
+def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
+    """Round values into the target element type; always a new array.
+
+    Float formats give float32: FP16 and BF16 round to nearest even, TF32 cuts
+    the mantissa to 10 explicit bits, and a NaN stays NaN. INT8 rounds half to
+    even in float64 and saturates to int32 in [-128, 127]; NaN raises NonFiniteError.
+    """
+    x = np.asarray(x, dtype=np.float64 if elem is ElemType.INT8 else np.float32)
+    if elem is ElemType.INT8:
+        x = np.clip(np.rint(x), -128, 127)
+        if np.isnan(x).any():
+            raise NonFiniteError("values to round into INT8 hold NaN")
+    elif elem in (ElemType.BF16, ElemType.TF32):
+        bits = rounded = x.view(np.uint32)
+        if elem is ElemType.BF16:  # round to nearest even; in place, as each temporary costs page faults
+            rounded = (bits >> 16) & 1
+            rounded += bits
+            rounded += 0x7FFF
+        nan = np.isnan(x)
+        if nan.any():  # quieted (bit 22 set), so neither bias nor cut makes a NaN ±0 or ±inf
+            rounded = np.where(nan, bits | 0x00400000, rounded)
+        x = rounded.view(np.float32)
+    return _from_storage(_to_storage(x, elem), elem)
 
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Row-major 2-D operand. ``data`` holds format-rounded values (float32
-    for float formats, int32 in [-128, 127] for INT8; another dtype raises
-    :class:`FormatError`, see :meth:`NumericFormat.check_values`)."""
+    """Row-major 2-D operand. ``data`` holds format-rounded values, float32 or
+    INT8's int32 in [-128, 127]; a GEMM result holds accumulator values. Another
+    dtype raises :class:`FormatError`, see :meth:`NumericFormat.check_values`."""
 
     data: np.ndarray
     fmt: NumericFormat

@@ -37,6 +37,16 @@ class TestRoundtrip:
             assert np.array_equal(back[name].data, m.data), name
             assert back[name].fmt == m.fmt
 
+    @pytest.mark.parametrize("fmt", [f for f in s.ALL_FORMATS if not f.is_integer], ids=str)
+    def test_nan_stays_nan(self, tmp_path, fmt):
+        # every mantissa bit set, or a payload only in bits bf16 and tf32 drop:
+        # the rounding once carried these into the sign, or cut them to ±inf
+        words = np.array([[0x7FFFFFFF, 0xFFFFFFFF, 0x7F800001, 0xFF800001]], dtype=np.uint32)
+        m = s.DenseMatrix.from_values(words.view(np.float32), fmt)
+        _, back = roundtrip(tmp_path, s.TensorArchive().add("w", m))
+        for got in (m.data, back["w"].data):
+            assert np.isnan(got).all() and np.signbit(got).tolist() == [[False, True, False, True]]
+
     def test_sparse_fp16_16x32_bit_exact(self, tmp_path, rng):
         sp = s.compress(random_conforming(rng, 16, 32, s.FP16), s.PATTERN_24)
         _, back = roundtrip(tmp_path, s.TensorArchive().add("w", sp))
@@ -325,13 +335,17 @@ class TestErrors:
             (np.array([[200, -300]], dtype=np.int32), s.INT8),
             (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.BF16),
             (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.FP16),
+            # a NaN whose payload lies only in the bits the type drops
+            (np.array([[0x3F800000, 0x7F800001]], dtype=np.uint32).view(np.float32), s.BF16),
+            (np.array([[0x3F800000, 0x7F800001]], dtype=np.uint32).view(np.float32), s.TF32),
         ],
-        ids=["int8", "bf16", "fp16"],
+        ids=["int8", "bf16", "fp16", "bf16-nan", "tf32-nan"],
     )
     def test_value_its_type_cannot_hold_rejected_on_write(self, tmp_path, values, fmt):
         # built directly, not through from_values, so nothing rounded them
         path = tmp_path / "v.s24t"
-        for entry in (s.DenseMatrix(values, fmt), s.SparseNM(4, s.PATTERN_24, values, np.array([[0, 1]]), fmt)):
+        sparse = s.SparseNM(4, s.PATTERN_24, values, np.array([[0, 1]], np.uint8), fmt)
+        for entry in (s.DenseMatrix(values, fmt), sparse):
             with pytest.raises(s.InvariantError, match="would not read back"):
                 s.write_archive(s.TensorArchive().add("w", entry), path)
             assert not path.exists()
@@ -347,7 +361,7 @@ class TestErrors:
             s.read_archive(path)
         bad = good.data.copy()
         bad.view(np.uint32)[0, 0] |= 1
-        with pytest.raises(s.InvariantError, match="TF32"):
+        with pytest.raises(s.InvariantError, match="would not read back"):
             s.write_archive(s.TensorArchive().add("w", s.DenseMatrix(bad, s.TF32)), path)
         assert path.read_bytes() == raw
 

@@ -170,15 +170,25 @@ class TestDecompress:
     @pytest.mark.parametrize(
         "dtype", ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64"]
     )
-    def test_every_integer_metadata_dtype(self, rng, dtype):
-        # int64 group starts plus uint64 metadata promote to float64, which
-        # cannot index; decompress and spmm must both read any integer dtype
+    def test_every_integer_metadata_dtype(self, rng, tmp_path, dtype):
+        # metadata is uint8, as compress makes it and the archive reads it
+        # back; decompress, spmm and write_archive reject every other dtype
         packed = s.compress(random_conforming(rng, 8, 32, s.FP16), s.PATTERN_24)
         assert packed.meta.dtype == np.uint8
         other = s.SparseNM(packed.cols_orig, packed.pattern, packed.values, packed.meta.astype(dtype), packed.fmt)
-        assert np.array_equal(s.decompress(other).data, s.decompress(packed).data)
         b = random_dense(rng, 32, 8, s.FP16)
-        assert np.array_equal(s.spmm(other, b).data, s.spmm(packed, b).data)
+        calls = {
+            "decompress": lambda: s.decompress(other),
+            "spmm": lambda: s.spmm(other, b),
+            "write_archive": lambda: s.write_archive(s.TensorArchive().add("w", other), tmp_path / "w.s24t"),
+        }
+        for name, call in calls.items():
+            if dtype == "uint8":
+                call()
+            else:
+                with pytest.raises(s.MetadataError, match="uint8"):
+                    call()
+                assert not (tmp_path / "w.s24t").exists(), name
 
     def test_width_not_a_multiple_of_m_rejected(self):
         sp = s.SparseNM(10, s.PATTERN_24, np.ones((1, 4), np.float32), np.array([[0, 1, 0, 1]], np.uint8), s.FP32)

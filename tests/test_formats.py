@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sparse24 as s
 from conftest import random_dense
 from sparse24.cli import EntryError
-from sparse24.formats import ElemType, round_array
+from sparse24.formats import STORAGE_DTYPE, ElemType, _from_storage, _to_storage, round_array
 
 
 def bf16_oracle(x: float) -> float:
@@ -33,6 +33,11 @@ class TestRounding:
     def test_int8_round_half_even(self):
         assert round_array([2.5], ElemType.INT8)[0] == 2
         assert round_array([3.5], ElemType.INT8)[0] == 4
+
+    def test_int8_rejects_nan_and_saturates_inf(self):
+        with pytest.raises(s.NonFiniteError):
+            s.DenseMatrix.from_values([[np.nan]], s.INT8)
+        assert round_array([np.inf, -np.inf], ElemType.INT8).tolist() == [127, -128]
 
     def test_bf16_against_frexp_oracle(self, rng):
         for x in rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500):
@@ -61,6 +66,35 @@ class TestRounding:
         got = s.DenseMatrix.from_values(vals, s.INT8).data
         assert got.tolist() == [[1, 3, -1]]
         assert np.array_equal(got, round_array(np.array(vals), ElemType.INT8))
+
+
+SPECIAL_WORDS = [0, 0x80000000, 1, 0x807FFFFF, 0x00800000, 0x7F7FFFFF, 0x7F800000, 0xFF800000]
+NAN_WORDS = [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7F802000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(
+        st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_WORDS + NAN_WORDS)), min_size=1, max_size=40
+    ),
+    int8_inputs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+)
+def test_storage_words_give_back_the_rounded_values(words, int8_inputs):
+    """For every element type: _to_storage gives STORAGE_DTYPE words, which
+    _from_storage turns back into the rounded values bit for bit; rounding
+    is idempotent, and a NaN stays NaN."""
+    x32 = np.array(words, dtype=np.uint32).view(np.float32)
+    for elem in ElemType:
+        x = np.array(int8_inputs) if elem is ElemType.INT8 else x32
+        with np.errstate(over="ignore"):  # fp16 overflows to ±inf by design
+            r = round_array(x, elem)
+        stored = _to_storage(r, elem)
+        assert stored.dtype == STORAGE_DTYPE[elem]
+        back = _from_storage(stored, elem)
+        assert back.dtype == r.dtype and back.tobytes() == r.tobytes()
+        assert round_array(r, elem).tobytes() == r.tobytes()
+        if elem is not ElemType.INT8:
+            assert np.array_equal(np.isnan(r), np.isnan(x))
 
 
 class TestFormatPairs:
