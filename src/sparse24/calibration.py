@@ -82,9 +82,10 @@ class CalibMethod:
     def parse(cls, text: str) -> "CalibMethod":
         if text.startswith("percentile="):
             try:
-                return cls("percentile", float(text.split("=", 1)[1]))
+                percentile = float(text.split("=", 1)[1])
             except ValueError as exc:
                 raise CalibMethodError(f"percentile must be a number, got {text!r}") from exc
+            return cls("percentile", percentile)
         return cls(text)
 
 

@@ -161,23 +161,25 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     Float formats give float32: FP16 and BF16 round to nearest even, TF32 cuts
     the mantissa to 10 explicit bits, and a NaN stays NaN. INT8 rounds half to
     even in float64 and saturates to int32 in [-128, 127]; NaN raises NonFiniteError.
+    A float value beyond the target's range becomes ±inf, with no warning.
     """
-    x = np.asarray(x, dtype=np.float64 if elem is ElemType.INT8 else np.float32)
-    if elem is ElemType.INT8:
-        x = np.clip(np.rint(x), -128, 127)
-        if np.isnan(x).any():
-            raise NonFiniteError("values to round into INT8 hold NaN")
-    elif elem in (ElemType.BF16, ElemType.TF32):
-        bits = rounded = x.view(np.uint32)
-        if elem is ElemType.BF16:  # round to nearest even; in place, as each temporary costs page faults
-            rounded = (bits >> 16) & 1
-            rounded += bits
-            rounded += 0x7FFF
-        nan = np.isnan(x)
-        if nan.any():  # quieted (bit 22 set), so neither bias nor cut makes a NaN ±0 or ±inf
-            rounded = np.where(nan, bits | 0x00400000, rounded)
-        x = rounded.view(np.float32)
-    return _from_storage(_to_storage(x, elem), elem)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing casts saturate by design
+        x = np.asarray(x, dtype=np.float64 if elem is ElemType.INT8 else np.float32)
+        if elem is ElemType.INT8:
+            x = np.clip(np.rint(x), -128, 127)
+            if np.isnan(x).any():
+                raise NonFiniteError("values to round into INT8 hold NaN")
+        elif elem in (ElemType.BF16, ElemType.TF32):
+            bits = rounded = x.view(np.uint32)
+            if elem is ElemType.BF16:  # round to nearest even; in place, as each temporary costs page faults
+                rounded = (bits >> 16) & 1
+                rounded += bits
+                rounded += 0x7FFF
+            nan = np.isnan(x)
+            if nan.any():  # quieted (bit 22 set), so neither bias nor cut makes a NaN ±0 or ±inf
+                rounded = np.where(nan, bits | 0x00400000, rounded)
+            x = rounded.view(np.float32)
+        return _from_storage(_to_storage(x, elem), elem)
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ class NMPattern:
     @classmethod
     def parse(cls, text: str) -> "NMPattern":
         n, sep, m = text.partition(":")
-        if not (sep and n.strip().isdigit() and m.strip().isdigit()):
+        if not (sep and n.strip().isdecimal() and m.strip().isdecimal()):
             raise PatternError(f"expected N:M, got {text!r}")
         return cls(int(n), int(m))
 
@@ -347,6 +349,7 @@ def _accumulate(
     rounds every product to fp16 before adding it; INT8/INT32 mode multiplies
     and adds in int32, wrapping modulo 2**32 like an exact sum wrapped once.
     A zero value still multiplies its row, so 0 * inf in B gives NaN.
+    Overflow and NaN results come back without a numpy warning.
 
     The products are formed a chunk of steps at a time: one ``take`` gathers
     the chunk's rows of B into a (c, M, N) buffer, one ``multiply`` scales
@@ -365,15 +368,16 @@ def _accumulate(
     chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * b.data.itemsize)))
     buf = np.empty((chunk, rows, cols), dtype=b.data.dtype)
     prod = buf if out.dtype == buf.dtype else np.empty_like(buf, dtype=out.dtype)
-    for j in range(0, steps, chunk):
-        c = min(chunk, steps - j)
-        if counter is not None:
-            counter.add(c * rows * cols)
-        gathered, products = buf[:c], prod[:c]
-        np.take(b.data, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
-        np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)
-        if prod is not buf:
-            np.copyto(products, gathered, casting="same_kind")
-        for p in products:
-            np.add(out, p, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, steps, chunk):
+            c = min(chunk, steps - j)
+            if counter is not None:
+                counter.add(c * rows * cols)
+            gathered, products = buf[:c], prod[:c]
+            np.take(b.data, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
+            np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)
+            if prod is not buf:
+                np.copyto(products, gathered, casting="same_kind")
+            for p in products:
+                np.add(out, p, out=out)
     return DenseMatrix(out.astype(b.data.dtype, copy=False), fmt)  # fp16 widens to float32

@@ -13,7 +13,7 @@ import io
 import itertools
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -77,6 +77,8 @@ class Schedule:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise RecipeError(f"need epochs >= 0 and batch_size >= 1, got {self.epochs}, {self.batch_size}")
+        if self.seed < 0:
+            raise RecipeError(f"need seed >= 0, got {self.seed}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
@@ -279,6 +281,9 @@ _READ_BY = {"schedule": _TRAIN_KINDS, "pattern": {PhaseKind.PRUNE}, "repeats": {
 
 @dataclass(frozen=True)
 class Phase:
+    """One recipe step. A retrain may leave ``schedule`` out: it runs the
+    schedule of the phase it repeats, which :func:`validate_recipe` sets."""
+
     name: str
     kind: PhaseKind
     schedule: Schedule | None = None
@@ -307,13 +312,13 @@ def _repeated_phase(phases, retrain: str, repeats: str | None) -> Phase:
     return named[-1]
 
 
-def validate_recipe(recipe: Recipe) -> None:
-    """Enforce the phase rules: each phase sets only the fields its kind
-    reads (train kinds need a schedule), exactly one prune, dense phases
-    before it, sparse phases after it, and every retrain repeating a dense
-    phase's schedule field for field."""
+def validate_recipe(recipe: Recipe) -> Recipe:
+    """Enforce the phase rules: each phase sets only the fields its kind reads
+    (dense and finetune phases need a schedule), exactly one prune, dense phases
+    before it, sparse phases after it. A retrain's schedule is None or equal to
+    that of the phase it repeats; returns the recipe with every one set to it."""
     for p in recipe.phases:
-        if p.kind in _TRAIN_KINDS and p.schedule is None:
+        if p.kind in (PhaseKind.TRAIN_DENSE, PhaseKind.FINETUNE_SPARSE) and p.schedule is None:
             raise RecipeError(f"phase {p.name!r} ({p.kind.value}) needs a schedule")
         unread = [f for f, kinds in _READ_BY.items() if p.kind not in kinds and getattr(p, f) is not None]
         if unread:
@@ -322,30 +327,31 @@ def validate_recipe(recipe: Recipe) -> None:
     if kinds.count(PhaseKind.PRUNE) != 1:
         raise RecipeError("recipe must contain exactly one prune phase")
     prune_at = kinds.index(PhaseKind.PRUNE)
-    if not any(k is PhaseKind.TRAIN_DENSE for k in kinds[:prune_at]):
+    before, after = set(kinds[:prune_at]), set(kinds[prune_at:])
+    if PhaseKind.TRAIN_DENSE not in before:
         raise RecipeError("prune must follow at least one dense training phase")
-    sparse_kinds = {PhaseKind.RETRAIN_SPARSE, PhaseKind.FINETUNE_SPARSE}
-    if any(k in sparse_kinds for k in kinds[:prune_at]):
+    if before & {PhaseKind.RETRAIN_SPARSE, PhaseKind.FINETUNE_SPARSE}:
         raise RecipeError("sparse training phases must come after prune")
-    if any(k is PhaseKind.TRAIN_DENSE for k in kinds[prune_at:]):
+    if PhaseKind.TRAIN_DENSE in after:
         raise RecipeError("dense training phases must come before prune")
-    if not any(k is PhaseKind.RETRAIN_SPARSE for k in kinds[prune_at:]):
+    if PhaseKind.RETRAIN_SPARSE not in after:
         raise RecipeError("prune must be followed by a retrain phase")
 
+    phases = []
     for p in recipe.phases:
-        if p.kind is not PhaseKind.RETRAIN_SPARSE:
-            continue
-        target = _repeated_phase(recipe.phases, p.name, p.repeats)
-        if p.schedule != target.schedule:
-            raise RecipeError(
-                f"retrain phase {p.name!r} must repeat the schedule of {target.name!r} exactly"
-            )
+        if p.kind is PhaseKind.RETRAIN_SPARSE:
+            target = _repeated_phase(recipe.phases, p.name, p.repeats)
+            if p.schedule not in (None, target.schedule):
+                raise RecipeError(f"retrain phase {p.name!r} must repeat the schedule of {target.name!r} exactly")
+            p = replace(p, schedule=target.schedule)
+        phases.append(p)
+    return replace(recipe, phases=tuple(phases))
 
 
 def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
     """Execute a validated recipe on a tiny net; returns per-phase metrics.
     A calibrate phase records nothing: no export reads scales yet."""
-    validate_recipe(recipe)
+    recipe = validate_recipe(recipe)
     masks: dict[int, Mask] = {}
     report: dict = {"phases": []}
     for phase in recipe.phases:
@@ -437,13 +443,9 @@ def parse_recipe(text: str) -> Recipe:
                 raise RecipeError(f"phase {name!r} ({kind.value}) does not take key {key!r}")
             declared[key] = _convert(name, key, value, _KIND_KEYS[kind][key])
         schedule = None
-        if kind is PhaseKind.RETRAIN_SPARSE:
-            schedule = _repeated_phase(phases, name, declared.get("repeats")).schedule
-        elif kind in _TRAIN_KINDS:
+        if _KIND_KEYS[kind] is _SCHEDULE_KEYS:
             if "epochs" not in declared or "lr" not in declared:
                 raise RecipeError(f"phase {name!r} needs explicit epochs and lr")
             schedule = Schedule(**declared)
         phases.append(Phase(name, kind, schedule, declared.get("pattern"), declared.get("repeats")))
-    recipe = Recipe(phases=tuple(phases))
-    validate_recipe(recipe)
-    return recipe
+    return validate_recipe(Recipe(phases=tuple(phases)))

@@ -4,8 +4,12 @@ A seeded generator builds every input. Each function's inputs are built in
 this file from storage words, not by another covered function, so a change
 to one function moves its own digest, and the digests of the functions
 that call it (``from_values`` calls ``round_array``; S24T sparse and mask
-entries are packed by ``pack_bit_fields``), and no other. NaN inputs to the
-rounding have their own digest, ``round_array/nan``.
+entries are packed by ``pack_bit_fields``; ``compress``, ``prune_magnitude``
+and ``find_permutation`` run ``NMPattern.keep``; ``gemm_dense`` and ``spmm``
+share one accumulate loop), and no other. NaN inputs to the rounding have
+their own digest, ``round_array/nan``. ``find_transposable_mask`` is left
+out: it scores tiles with a BLAS product, whose summation order is the
+BLAS build's.
 
 ``manifest.json`` holds the expected digests. A change that alters outputs
 by design regenerates it with ``PYTHONPATH=src python tests/parity/test_parity.py``
@@ -15,6 +19,7 @@ and names each changed digest and its reason.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -156,6 +161,40 @@ def _random_meta(rng, rows, groups, pattern) -> np.ndarray:
     return picked.reshape(rows, groups * pattern.n).astype(np.uint8)
 
 
+def _moderate_values(rng, shape, elem: ElemType) -> np.ndarray:
+    """Random in-memory values of ``elem`` with magnitudes in [2**-4, 2**5),
+    built from storage words, so that sums of them neither overflow nor
+    vanish and their rounding depends on the order they are added in."""
+    n = int(np.prod(shape))
+    if elem is ElemType.INT8:
+        return rng.integers(-128, 128, size=n).astype(np.int32).reshape(shape)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint32) << 31
+    exponent = rng.integers(127 - 4, 127 + 5, size=n, dtype=np.uint32) << 23
+    words = sign | exponent | rng.integers(0, 2**23, size=n, dtype=np.uint32)
+    kept_bits = {ElemType.FP16: 0xFFFFE000, ElemType.BF16: 0xFFFF0000, ElemType.TF32: 0xFFFFE000}
+    words &= np.uint32(kept_bits.get(elem, 0xFFFFFFFF))
+    return words.view(np.float32).reshape(shape)
+
+
+def _tied_values(rng, shape, elem: ElemType) -> np.ndarray:
+    """Finite values of ``elem`` drawn from few magnitudes of either sign
+    (so many ties in |x|), ±0 among them, from its storage words."""
+    if elem is ElemType.INT8:
+        return rng.choice(np.array([0, 1, -1, 5, -5, 127, -128], dtype=np.int32), size=shape)
+    words = np.array([0x00000000, 0x80000000, 0x3F800000, 0xBF800000, 0x40400000, 0xC0400000], dtype=np.uint32)
+    return rng.choice(words, size=shape).view(np.float32)
+
+
+def _nan_word(elem: ElemType) -> np.float32:
+    """A NaN with a payload that ``elem`` stores exactly."""
+    words = {ElemType.FP16: 0x7FC02000, ElemType.BF16: 0xFFC10000, ElemType.TF32: 0x7FC02000}
+    return np.array([words.get(elem, 0x7FC00001)], dtype=np.uint32).view(np.float32)[0]
+
+
+def _sums(result) -> np.ndarray:
+    return np.array([result.retained_magnitude, result.lost_magnitude])
+
+
 def corpus() -> dict[str, str]:
     """Every digest, keyed by output name."""
     rng = np.random.default_rng(SEED)
@@ -219,6 +258,65 @@ def corpus() -> dict[str, str]:
         for rows, per_row in ((0, 4), (1, 1), (3, 5), (4, 16), (2, 37)):
             fields = rng.integers(0, 2**bits, size=(rows, per_row))
             d("pack_bit_fields").add(bits, pack_bit_fields(fields.astype(np.uint8), bits))
+
+    for text in PATTERNS:
+        p = s.NMPattern.parse(text)
+        for fmt in (s.FP16, s.BF16, s.FP32, s.INT8):
+            for shape in ((0, 2 * p.m), (3, 0), (5, 3 * p.m)):
+                for build in (_stored_values, _tied_values):
+                    vals = build(rng, shape, fmt.elem)
+                    if fmt.is_integer or build is _stored_values:  # finite: prune_magnitude refuses ±inf
+                        vals = np.where(np.abs(vals) < np.inf, vals, 0).astype(vals.dtype)
+                    if vals.size:
+                        vals[1] = 0  # a row of zeros
+                        vals[:, -1] = 0  # and a column
+                    result = s.prune_magnitude(s.DenseMatrix(vals, fmt), p)
+                    d("prune_magnitude").add(result.mask.bits, _sums(result))
+
+    for text, cols in (("1:2", 8), ("2:4", 8), ("2:4", 12), ("1:4", 8), ("3:4", 8), ("2:8", 8)):
+        p = s.NMPattern.parse(text)
+        for rows, build in itertools.product((1, 6), (_moderate_values, _tied_values)):
+            vals = build(rng, (rows, cols), ElemType.FP16)
+            budget = s.SearchBudget(mode="exhaustive")
+            perm, result = s.find_permutation(s.DenseMatrix(vals, s.FP16), p, budget)
+            visited = budget.stats["partitions_visited"]
+            d("find_permutation/exhaustive").add(perm.perm, visited, result.mask.bits, _sums(result))
+
+    for text in PATTERNS:
+        p = s.NMPattern.parse(text)
+        cols = 4 * p.m
+        for rows, max_swaps, restarts in ((1, 40, 1), (8, 400, 3), (33, 5000, 2)):
+            # column-scaled magnitudes, so that reordering columns pays
+            vals = _moderate_values(rng, (rows, cols), ElemType.FP16)
+            vals *= rng.choice([1.0, 16.0], size=cols).astype(np.float32)
+            vals[:, : p.m] = vals[:, :1]  # equal columns: ties between candidate swaps
+            budget = s.SearchBudget(mode="greedy", restarts=restarts, max_swaps=max_swaps, seed=int(rng.integers(100)))
+            perm, result = s.find_permutation(s.DenseMatrix(vals, s.FP16), p, budget)
+            d("find_permutation/greedy").add(perm.perm, budget.stats["swaps_used"], result.mask.bits, _sums(result))
+
+    for fmt in s.ALL_FORMATS:
+        for shape in ((0, 4), (1, 1), (4, 8), (7, 33)):
+            vals = _stored_values(rng, shape, fmt.elem)
+            bits = rng.random(shape) < 0.5
+            if not fmt.is_integer and bits.size > 4:
+                dropped = np.flatnonzero(~bits)
+                vals.flat[dropped[:4]] = [-0.0, np.inf, -np.inf, _nan_word(fmt.elem)][: len(dropped)]
+                vals.flat[np.flatnonzero(bits)[:1]] = _nan_word(fmt.elem)  # a kept NaN keeps its payload
+            d(f"apply_mask/{fmt}").add(s.apply_mask(s.DenseMatrix(vals, fmt), s.Mask(bits)).data)
+
+    for fmt in s.ALL_FORMATS:
+        k = 2 * fmt.sparse_k_multiple
+        for m, n in ((0, 3), (3, 0), (5, 7), (16, 24)):
+            for build in (_moderate_values, _stored_values):  # _stored_values brings ±inf, so NaN
+                a = s.DenseMatrix(build(rng, (m, k), fmt.elem), fmt)
+                b = s.DenseMatrix(build(rng, (k, n), fmt.elem), fmt)
+                d(f"gemm_dense/{fmt}").add(s.gemm_dense(a, b).data)
+                if not fmt.sparse_capable:
+                    continue
+                p = s.PATTERN_24
+                packed = s.SparseNM(k, p, build(rng, (m, k // 2), fmt.elem), _random_meta(rng, m, k // p.m, p), fmt)
+                counter = s.MultiplyAddCounter()
+                d(f"spmm/{fmt}").add(s.spmm(packed, b, counter=counter).data, counter.count)
 
     return {name: h.hexdigest() for name, h in sorted(digests.items())}
 

@@ -165,6 +165,11 @@ class TestCalibrateMax:
         with pytest.raises(s.ShapeError):
             s.calibrate([], s.CalibMethod("max"))
 
+    def test_per_row_needs_equal_row_counts(self):
+        samples = [s.DenseMatrix(np.ones((rows, 4), dtype=np.float32), s.FP32) for rows in (2, 3)]
+        with pytest.raises(s.ShapeError):
+            s.calibrate(samples, s.CalibMethod("max"), s.Granularity.PER_ROW)
+
 
 class TestCalibratePerRow:
     @pytest.mark.parametrize("method", ["max", "percentile=99.9", "entropy"])
@@ -275,6 +280,14 @@ class TestCalibratePercentile:
         m = s.CalibMethod.parse("percentile=99.9")
         assert m.tag == "percentile" and m.percentile == 99.9
         assert s.CalibMethod.parse("entropy").tag == "entropy"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("percentile=150", r"\(0, 100\]"), ("percentile=0", r"\(0, 100\]"), ("percentile=abc", "number")],
+    )
+    def test_parse_reports_the_range_or_the_number(self, text, message):
+        with pytest.raises(s.CalibMethodError, match=message):
+            s.CalibMethod.parse(text)
 
 
 class TestEntropyCalibration:

@@ -162,6 +162,11 @@ class TestDecompress:
         with pytest.raises(s.MetadataError):
             s.decompress(out_of_range)
 
+    def test_wrong_number_of_kept_columns_rejected(self):
+        sp = s.SparseNM(8, s.PATTERN_24, np.ones((1, 2), np.float32), np.array([[0, 1]], np.uint8), s.FP32)
+        with pytest.raises(s.MetadataError, match="expected 4 kept columns"):
+            sp.validate()
+
     def test_float_metadata_rejected(self):
         sp = s.SparseNM(4, s.PATTERN_24, np.ones((1, 2), np.float32), np.array([[0.0, 1.0]]), s.FP32)
         with pytest.raises(s.MetadataError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestRounding:
         x = 1.0 + 2.0**-10
         assert round_array([x], ElemType.TF32)[0] == x
 
+    @pytest.mark.parametrize(
+        "elem, values",
+        [
+            (ElemType.FP16, np.array([1e6, -65520.0], dtype=np.float32)),
+            (ElemType.FP16, np.array([1e300, -1e6])),
+            (ElemType.FP32, np.array([1e300, -1e39])),
+            (ElemType.BF16, np.array([1e300, -1e39])),
+            (ElemType.TF32, np.array([1e300, -1e39])),
+        ],
+        ids=["fp16", "fp16-float64", "fp32", "bf16", "tf32"],
+    )
+    def test_overflow_saturates_to_inf_without_a_warning(self, elem, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert round_array(values, elem).tolist() == [np.inf, -np.inf]
+
     def test_from_values_rounds_int8_once_in_float64(self):
         # a float32 step first would give [[2, 2, 0]]
         vals = [[1.4999999999, 2.5000001, -0.50000001]]
@@ -95,6 +112,11 @@ def test_storage_words_give_back_the_rounded_values(words, int8_inputs):
         assert round_array(r, elem).tobytes() == r.tobytes()
         if elem is not ElemType.INT8:
             assert np.array_equal(np.isnan(r), np.isnan(x))
+
+
+def test_dense_matrix_needs_2d_data():
+    with pytest.raises(s.ShapeError):
+        s.DenseMatrix(np.zeros(4, dtype=np.float32), s.FP32)
 
 
 class TestFormatPairs:
@@ -159,6 +181,22 @@ class TestGemmDense:
         r1 = s.gemm_dense(a, b)
         r2 = s.gemm_dense(a, b)
         assert np.array_equal(r1.data, r2.data)
+
+    def test_fp16_accumulate_overflow_is_inf_without_a_warning(self):
+        a = s.DenseMatrix(np.full((1, 2), 300.0, dtype=np.float32), s.FP16_FP16)
+        b = s.DenseMatrix(np.array([[300.0], [1.0]], dtype=np.float32), s.FP16_FP16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = s.gemm_dense(a, b).data  # the product 90 000 exceeds fp16's 65 504
+        assert out.tolist() == [[np.inf]]
+
+    @pytest.mark.parametrize("fmt", [s.FP16, s.FP16_FP16], ids=str)
+    def test_zero_times_inf_is_nan_without_a_warning(self, fmt):
+        a = s.DenseMatrix(np.array([[0.0, 1.0]], dtype=np.float32), fmt)
+        b = s.DenseMatrix(np.array([[np.inf], [2.0]], dtype=np.float32), fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(s.gemm_dense(a, b).data[0, 0])
 
     def test_shape_mismatch(self, rng):
         a = random_dense(rng, 2, 3, s.FP32)
@@ -247,6 +285,8 @@ def test_error_codes_distinct_and_stable():
         (lambda: s.NMPattern(1, 256), s.PatternError),
         (lambda: s.NMPattern.parse("2-4"), s.PatternError),
         (lambda: s.NMPattern.parse("1:512"), s.PatternError),
+        # "²".isdigit() holds, but int() refuses it
+        (lambda: s.NMPattern.parse("²:4"), s.PatternError),
         (lambda: s.CalibMethod("median"), s.CalibMethodError),
         (lambda: s.CalibMethod.parse("percentile=abc"), s.CalibMethodError),
         (
@@ -270,6 +310,7 @@ def test_error_codes_distinct_and_stable():
         "pattern_m_above_255",
         "pattern_text",
         "pattern_text_m_above_255",
+        "pattern_text_superscript_digit",
         "calib_method",
         "calib_percentile_text",
         "search_mode",

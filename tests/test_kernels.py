@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,16 @@ class TestSpmm:
         assert np.isnan(dense[0, 0])
         assert s.spmm(sp, b).data[0, 0] == 8.0
 
+    @pytest.mark.parametrize("fmt", [s.FP16, s.FP16_FP16], ids=str)
+    def test_opposite_infinities_in_kept_rows_give_nan_without_a_warning(self, fmt):
+        meta = np.tile(np.array([0, 1], dtype=np.uint8), (1, 4))  # keep columns 0, 1 of each group
+        sp = s.SparseNM(16, s.PATTERN_24, np.ones((1, 8), dtype=np.float32), meta, fmt)
+        bvals = np.ones((16, 1), dtype=np.float32)
+        bvals[0, 0], bvals[1, 0] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(s.spmm(sp, s.DenseMatrix(bvals, fmt)).data[0, 0])
+
     @pytest.mark.parametrize("fmt", [s.FP16, s.BF16, s.TF32, s.FP16_FP16], ids=str)
     @pytest.mark.parametrize("pattern", [s.PATTERN_24, s.PATTERN_12], ids=str)
     def test_float_modes_bit_equal_to_scalar_loop(self, rng, fmt, pattern):
@@ -307,6 +319,16 @@ class TestSpmm:
         _, sp, _ = make_case(rng, 4, 4, 16, s.FP16)
         with pytest.raises(s.FormatError):
             s.spmm(sp, random_dense(rng, 16, 4, b_fmt))
+
+
+class TestFloatTolerance:
+    @pytest.mark.parametrize(
+        "fmt, peak, ulp", [(s.FP16_FP16, 1.0, 2.0**-10), (s.FP16, 1.0, 2.0**-23), (s.FP16_FP16, 0.0, 2.0**-20)]
+    )
+    def test_two_k_ulps_of_the_accumulator_at_the_peak(self, fmt, peak, ulp):
+        # an FP16-accumulate peak below 1e-3 counts as 1e-3, whose fp16 ulp is 2**-20
+        oracle = s.DenseMatrix(np.array([[peak / 2, -peak]], dtype=np.float32), fmt)
+        assert s.float_tolerance(oracle, 8) == 16 * ulp
 
 
 class TestFlops:

@@ -201,6 +201,18 @@ class TestPermutationSearch:
         assert count == math.factorial(8) // (math.factorial(4) ** 2 * math.factorial(2))
         assert count == 35
 
+    def test_partitions_need_m_to_divide_the_columns(self):
+        partitions = s.enumerate_group_partitions(10, 4)  # a generator: the check runs on first use
+        with pytest.raises(s.ShapeError):
+            next(partitions)
+
+    def test_default_budget_is_search_budget(self, rng):
+        w = random_dense(rng, 8, 16, s.FP16)
+        perm, res = s.find_permutation(w, s.PATTERN_24)
+        want_perm, want = s.find_permutation(w, s.PATTERN_24, s.SearchBudget())
+        assert np.array_equal(perm.perm, want_perm.perm) and np.array_equal(res.mask.bits, want.mask.bits)
+        assert (res.retained_magnitude, res.lost_magnitude) == (want.retained_magnitude, want.lost_magnitude)
+
     def test_exhaustive_visits_all_and_matches_enumeration(self, rng):
         w = random_dense(rng, 8, 8, s.FP32)
         budget = s.SearchBudget(mode="exhaustive")
@@ -450,6 +462,13 @@ class TestPropagatePermutation:
         hp8 = s.DenseMatrix(np.clip(hp.data, -128, 127).astype(np.int32)[:, :], s.INT8)
         got = s.gemm_dense(w2p, hp8)
         assert np.array_equal(got.data, ref.data)
+
+    def test_permutation_of_the_wrong_size_rejected(self, rng):
+        w = random_dense(rng, 4, 8, s.FP32)
+        with pytest.raises(s.ShapeError):
+            s.permute_columns(w, s.Permutation.identity(4))
+        with pytest.raises(s.ShapeError):
+            s.propagate_permutation(w, s.Permutation.identity(8))
 
     def test_not_a_bijection_rejected(self):
         with pytest.raises(s.PermutationError):

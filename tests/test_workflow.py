@@ -461,6 +461,9 @@ class TestRecipes:
             "[recipe]\nseed = 7\n" + RECIPE_BASIC,
             RECIPE_BASIC.replace("[phase.prune]", "[phases.prune]"),
             RECIPE_BASIC.replace("repeats = train", "repeats = prune"),
+            RECIPE_BASIC.replace("seed = 3", "seed = -1"),
+            RECIPE_BASIC.replace("kind = train_dense\n", ""),
+            RECIPE_BASIC.replace("lr = 0.05\n", ""),
         ],
         ids=[
             "not_ini",
@@ -473,6 +476,9 @@ class TestRecipes:
             "recipe_section",
             "misspelt_section",
             "repeats_not_a_dense_phase",
+            "seed_negative",
+            "section_without_kind",
+            "dense_without_lr",
         ],
     )
     def test_malformed_recipe_raises_recipe_error(self, text):
@@ -515,7 +521,6 @@ class TestRecipes:
             Phase("a", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1), pattern=s.PATTERN_24),
             Phase("a", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1), repeats="a"),
             Phase("p", PhaseKind.PRUNE, s.Schedule(4, 0.1)),
-            Phase("r", PhaseKind.RETRAIN_SPARSE),
             Phase("r", PhaseKind.RETRAIN_SPARSE, s.Schedule(4, 0.1), pattern=s.PATTERN_24),
             Phase("f", PhaseKind.FINETUNE_SPARSE),
             Phase("f", PhaseKind.FINETUNE_SPARSE, s.Schedule(1, 0.1), pattern=s.PATTERN_24),
@@ -529,7 +534,6 @@ class TestRecipes:
             "pattern_on_dense",
             "repeats_on_dense",
             "schedule_on_prune",
-            "retrain_without_schedule",
             "pattern_on_retrain",
             "finetune_without_schedule",
             "pattern_on_finetune",
@@ -549,6 +553,42 @@ class TestRecipes:
         phases[phase.name] = phase  # replaces a, p or r; f and c follow r
         with pytest.raises(s.RecipeError, match=repr(phase.name)):
             s.validate_recipe(s.Recipe(tuple(phases.values())))
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("TPRT", "dense training phases must come before prune"),
+            ("TP", "prune must be followed by a retrain phase"),
+        ],
+    )
+    def test_ordering_rule_rejected(self, kinds, message):
+        make = {
+            "T": lambda i: Phase(f"t{i}", PhaseKind.TRAIN_DENSE, s.Schedule(4, 0.1)),
+            "P": lambda i: Phase(f"p{i}", PhaseKind.PRUNE),
+            "R": lambda i: Phase(f"r{i}", PhaseKind.RETRAIN_SPARSE, s.Schedule(4, 0.1)),
+        }
+        with pytest.raises(s.RecipeError, match=message):
+            s.validate_recipe(s.Recipe(tuple(make[k](i) for i, k in enumerate(kinds))))
+
+    def test_retrain_built_without_schedule_runs_the_repeated_one(self):
+        sched = s.Schedule(epochs=3, lr=0.05, seed=3)
+
+        def recipe(retrain_schedule):
+            return s.Recipe(
+                (
+                    Phase("train", PhaseKind.TRAIN_DENSE, sched),
+                    Phase("prune", PhaseKind.PRUNE, pattern=s.PATTERN_24),
+                    Phase("retrain", PhaseKind.RETRAIN_SPARSE, retrain_schedule, repeats="train"),
+                )
+            )
+
+        assert s.validate_recipe(recipe(None)) == recipe(sched)
+        data = s.make_blobs(samples=128, features=16, classes=4, seed=5)
+        bare, full = (s.run_recipe(recipe(x), s.TinyNet.init([16, 16, 4], seed=5), data) for x in (None, sched))
+        assert bare["phases"] == full["phases"] and bare["final_accuracy"] == full["final_accuracy"]
+        assert all(np.array_equal(bare["masks"][i].bits, full["masks"][i].bits) for i in full["masks"])
+        for got, want in zip(bare["net"].weights + bare["net"].biases, full["net"].weights + full["net"].biases):
+            assert got.tobytes() == want.tobytes()
 
     def test_finetune_after_retrain_keeps_mask(self):
         recipe = s.parse_recipe(RECIPE_FINETUNE)
