@@ -140,12 +140,13 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 
 def _to_storage(values: np.ndarray, elem: ElemType) -> np.ndarray:
-    """A new array of the ``STORAGE_DTYPE`` words of values ``elem`` holds."""
+    """The ``STORAGE_DTYPE`` words of values ``elem`` holds: ``values``
+    itself when it already has that dtype (FP32), else a new array."""
     if elem is ElemType.BF16:
         return (values.view(np.uint32) >> 16).astype(STORAGE_DTYPE[elem])
     if elem is ElemType.TF32:
         return (values.view(np.uint32) & np.uint32(0xFFFFE000)).view(STORAGE_DTYPE[elem])
-    return values.astype(STORAGE_DTYPE[elem])
+    return values.astype(STORAGE_DTYPE[elem], copy=False)
 
 
 def _from_storage(words: np.ndarray, elem: ElemType) -> np.ndarray:
@@ -164,7 +165,10 @@ def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     A float value beyond the target's range becomes ±inf, with no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing casts saturate by design
-        x = np.asarray(x, dtype=np.float64 if elem is ElemType.INT8 else np.float32)
+        dtype = np.float64 if elem is ElemType.INT8 else np.float32
+        # FP32's storage words are x itself, so there x is the one owned copy
+        # (the conversion, if the dtype changes); every other path makes new arrays
+        x = np.array(x, dtype=dtype) if elem is ElemType.FP32 else np.asarray(x, dtype=dtype)
         if elem is ElemType.INT8:
             x = np.clip(np.rint(x), -128, 127)
             if np.isnan(x).any():

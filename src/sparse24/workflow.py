@@ -79,6 +79,9 @@ class Schedule:
             raise RecipeError(f"need epochs >= 0 and batch_size >= 1, got {self.epochs}, {self.batch_size}")
         if self.seed < 0:
             raise RecipeError(f"need seed >= 0, got {self.seed}")
+        for key in ("lr", "momentum", "weight_decay", "lr_decay_factor"):
+            if not math.isfinite(getattr(self, key)):
+                raise RecipeError(f"need a finite {key}, got {getattr(self, key)}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr

@@ -7,13 +7,17 @@ that call it (``from_values`` calls ``round_array``; S24T sparse and mask
 entries are packed by ``pack_bit_fields``; ``compress``, ``prune_magnitude``
 and ``find_permutation`` run ``NMPattern.keep``; ``gemm_dense`` and ``spmm``
 share one accumulate loop), and no other. NaN inputs to the rounding have
-their own digest, ``round_array/nan``. ``find_transposable_mask`` is left
-out: it scores tiles with a BLAS product, whose summation order is the
-BLAS build's.
+their own digest, ``round_array/nan``. Calibration has one digest per
+method and granularity of ``calibrate``'s scales, one per histogram family
+of ``entropy_threshold``'s clip points, and one each for the error class,
+text and code of malformed histograms and calibration samples.
+``find_transposable_mask`` is left out: it scores tiles with a BLAS
+product, whose summation order is the BLAS build's.
 
 ``manifest.json`` holds the expected digests. A change that alters outputs
-by design regenerates it with ``PYTHONPATH=src python tests/parity/test_parity.py``
-and names each changed digest and its reason.
+by design regenerates it with ``PYTHONPATH=src python tests/parity/test_parity.py``,
+which prints each digest it adds, removes or changes, and names each
+changed digest and its reason.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import pytest
 
 import sparse24 as s
 from sparse24.archive import pack_bit_fields
+from sparse24.calibration import HIST_BINS, entropy_threshold
 from sparse24.formats import ElemType, round_array
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -67,6 +72,15 @@ def _outcome(fn):
         return fn()
     except ValueError as exc:
         return type(exc).__name__
+
+
+def _error(fn):
+    """The class name, text and code of the ValueError ``fn()`` raises."""
+    try:
+        fn()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "code", None)
+    raise AssertionError("no error raised")
 
 
 def _no_nan(words: np.ndarray) -> np.ndarray:
@@ -318,7 +332,99 @@ def corpus() -> dict[str, str]:
                 counter = s.MultiplyAddCounter()
                 d(f"spmm/{fmt}").add(s.spmm(packed, b, counter=counter).data, counter.count)
 
+    for method in ("max", "percentile", "entropy"):
+        calib = s.CalibMethod(method)
+        for gran in s.Granularity:
+            for stream in _calibration_streams(rng):
+                d(f"calibrate/{method}/{gran.value}").add(s.calibrate(stream, calib, gran).scales)
+
+    for family, hists in _histogram_families(rng).items():
+        for hist in hists:
+            d(f"entropy_threshold/{family}").add(len(hist), entropy_threshold(hist))
+        for n in sorted({len(h) for h in hists}):
+            d(f"entropy_threshold/{family}").add(entropy_threshold(np.stack([h for h in hists if len(h) == n])))
+
+    for bad in (np.r_[-5.0, np.ones(HIST_BINS - 1)], np.r_[np.ones(9), np.nan], np.r_[np.inf, np.ones(3)]):
+        d("entropy_threshold/errors").add(*_error(lambda: entropy_threshold(bad)))
+    for shape in ((), (2, 3, 4)):
+        d("entropy_threshold/errors").add(*_error(lambda: entropy_threshold(np.ones(shape))))
+    finite = _post_relu(rng, (3, 8))
+    for bad in (np.nan, np.inf, -np.inf):
+        sample = finite.copy()
+        sample[1, 2] = bad
+        for method in ("max", "percentile", "entropy"):
+            stream = [s.DenseMatrix(finite, s.FP32), s.DenseMatrix(sample, s.FP32)]
+            d("calibrate/errors").add(*_error(lambda: s.calibrate(stream, s.CalibMethod(method))))
+    uneven = [s.DenseMatrix(finite, s.FP32), s.DenseMatrix(finite[:2], s.FP32)]
+    d("calibrate/errors").add(*_error(lambda: s.calibrate(uneven, s.CalibMethod("max"), s.Granularity.PER_ROW)))
+    d("calibrate/errors").add(*_error(lambda: s.calibrate([], s.CalibMethod("entropy"))))
+
     return {name: h.hexdigest() for name, h in sorted(digests.items())}
+
+
+def _post_relu(rng, shape) -> np.ndarray:
+    """FP32 values like a ReLU's output: about half exact zeros."""
+    return np.maximum(_moderate_values(rng, shape, ElemType.FP32), np.float32(0))
+
+
+def _pruned_24(rng, shape) -> np.ndarray:
+    """FP32 rows with two of each group of four zeroed, like a 2:4-pruned head."""
+    vals = _moderate_values(rng, shape, ElemType.FP32)
+    keys = rng.random((shape[0], shape[1] // 4, 4))
+    vals[(keys.argsort(axis=-1).argsort(axis=-1) >= 2).reshape(shape)] = 0
+    return vals
+
+
+def _calibration_streams(rng) -> list[list[s.DenseMatrix]]:
+    """Sample streams: post-ReLU tensors, 2:4-pruned head rows, tensors
+    with an all-zero row, an all-zero stream and a nearly all-zero one."""
+    streams = []
+    for rows, cols, count in ((1, 16, 1), (4, 32, 1), (8, 24, 3), (32, 96, 2)):
+        streams.append([_post_relu(rng, (rows, cols)) for _ in range(count)])
+        streams.append([_pruned_24(rng, (rows, cols)) for _ in range(count)])
+        with_zero_row = [_post_relu(rng, (rows + 1, cols)) for _ in range(count)]
+        for vals in with_zero_row:
+            vals[rows // 2] = 0
+        streams.append(with_zero_row)
+    streams.append([np.zeros((4, 8), np.float32), np.zeros((4, 8), np.float32)])
+    # one nonzero in more than 10 000 values: the 99.99th percentile is 0, so it falls back to max
+    sparse = [np.zeros((2, 5200), np.float32), np.zeros((2, 5200), np.float32)]
+    sparse[0][:, 7] = _moderate_values(rng, (2,), ElemType.FP32)
+    streams.append(sparse)
+    return [[s.DenseMatrix(vals, s.FP32) for vals in stream] for stream in streams]
+
+
+def _slice_histogram(x: np.ndarray) -> np.ndarray:
+    """The histogram ``calibrate`` builds for one slice of |x| values."""
+    return np.histogram(x, bins=HIST_BINS, range=(0.0, x.max()))[0].astype(np.float64)
+
+
+def _histogram_families(rng) -> dict[str, list[np.ndarray]]:
+    """Histograms of each family the entropy tests compare against their loop oracle."""
+    fams: dict[str, list[np.ndarray]] = {name: [] for name in ("half_gaussian", "half_laplace", "sparse", "uniform")}
+    for _ in range(12):
+        n = int(rng.integers(32, 20_001))
+        fams["half_gaussian"].append(_slice_histogram(np.abs(rng.standard_normal(n))))
+        fams["half_laplace"].append(_slice_histogram(np.abs(rng.laplace(size=n))))
+        density = rng.uniform(0.001, 0.3)
+        counts = rng.integers(1, 1000, HIST_BINS) * (rng.random(HIST_BINS) < density)
+        fams["sparse"].append(counts.astype(np.float64))
+        fams["uniform"].append(rng.integers(0, 100, HIST_BINS).astype(np.float64))
+    fams["zeros"] = [np.zeros(HIST_BINS)]
+    fams["spike"] = []
+    for at in (0, 1, 127, 128, 129, 1000, 2046, 2047):
+        spike = np.zeros(HIST_BINS)
+        spike[at] = rng.integers(1, 10_000)
+        fams["spike"].append(spike)
+    fams["length"] = []
+    for n in (0, 1, 127, 128, 129, 300, 513, 2048, 1000, 2100):
+        fams["length"] += [
+            np.zeros(n),
+            rng.integers(0, 50, n).astype(np.float64),
+            np.exp(-0.5 * (np.arange(n) / rng.uniform(20, 700)) ** 2),
+        ]
+    fams["head_2of4"] = [_slice_histogram(np.abs(row)) for _ in range(3) for row in _pruned_24(rng, (4, 32))]
+    return fams
 
 
 EXPECTED = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
@@ -341,4 +447,12 @@ def test_digest(computed, name):
 
 if __name__ == "__main__":
     with np.errstate(over="ignore", invalid="ignore"):
-        MANIFEST.write_text(json.dumps(corpus(), indent=1) + "\n")
+        digests = corpus()
+    for name in sorted(EXPECTED.keys() | digests.keys()):
+        if name not in digests:
+            print(f"removed {name}")
+        elif name not in EXPECTED:
+            print(f"added   {name}")
+        elif digests[name] != EXPECTED[name]:
+            print(f"changed {name}")
+    MANIFEST.write_text(json.dumps(digests, indent=1) + "\n")

@@ -87,6 +87,21 @@ def entropy_kl_loop(hist):
     return kls
 
 
+def dead_fraction(hist):
+    """The share of clip candidates the loop skips, so their KL stays +inf:
+    no mass, or a clipped tail folded into a last chunk with no unclipped
+    mass."""
+    hist = np.asarray(hist, dtype=np.float64)
+    total = hist.sum()
+    cum = np.concatenate([[0.0], np.cumsum(hist)])
+    dead = []
+    for i in range(QUANT_BINS, len(hist) + 1):
+        tail = total - cum[i]
+        no_mass = cum[i - 1] + hist[i - 1] + tail == 0
+        dead.append(no_mass or (tail > 0 and cum[i] - cum[i - i // QUANT_BINS] == 0))
+    return float(np.mean(dead))
+
+
 def entropy_threshold_loop(hist):
     """The clip point of entropy_kl_loop's least KL, the smallest i on a tie."""
     best_i, best_kl = len(hist), np.inf
@@ -332,6 +347,17 @@ class TestEntropyMatchesLoop:
             if len(hist) >= QUANT_BINS:
                 got = next(calibration._entropy_kl(np.asarray(hist, dtype=np.float64)[None]))
                 assert got.tobytes() == entropy_kl_loop(hist).tobytes()
+
+    def test_oracle_set_holds_both_regimes_of_the_live_gather(self):
+        # The loop comparisons above cover a nearly empty live set and a full
+        # one only if the set holds histograms of both kinds.
+        dead = {}
+        for family, hist in oracle_histograms():
+            if len(hist) >= QUANT_BINS:
+                dead.setdefault(family, []).append((len(hist), dead_fraction(hist)))
+        assert min(f for _, f in dead["head_2of4"]) >= 0.9
+        assert sum(f >= 0.9 for _, f in dead["spike"]) >= 2  # the spikes at the top bins
+        assert any(n >= HIST_BINS and f == 0 for n, f in dead["length"])  # all-positive curves
 
     def test_one_2d_call_matches_per_row_calls(self):
         hists = [hist for _, hist in oracle_histograms() if len(hist) == HIST_BINS]

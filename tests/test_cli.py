@@ -180,6 +180,14 @@ class TestDataErrors:
         assert result.stderr.startswith("error[recipe]:") and "seed" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
+    def test_recipe_non_finite_lr(self, runner, tmp_path):
+        recipe = tmp_path / "r.recipe"
+        recipe.write_text(RECIPE.replace("lr = 0.05\n", "lr = nan\n"))
+        result = runner.invoke(main, ["demo-workflow", "--recipe", str(recipe)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error[recipe]:") and "finite lr" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestUsageErrors:
     """Malformed arguments are usage errors (exit 2) that name the option,

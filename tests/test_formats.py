@@ -77,6 +77,15 @@ class TestRounding:
             warnings.simplefilter("error")
             assert round_array(values, elem).tolist() == [np.inf, -np.inf]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("elem", list(ElemType))
+    def test_result_never_shares_the_inputs_memory(self, elem, dtype):
+        x = np.array([[0.5, -3.0], [100.0, 2.0]], dtype=dtype)
+        r = round_array(x, elem)
+        assert not np.shares_memory(r, x)
+        r_of_r = round_array(r, elem)  # an input already in the result's dtype
+        assert not np.shares_memory(r_of_r, r)
+
     def test_from_values_rounds_int8_once_in_float64(self):
         # a float32 step first would give [[2, 2, 0]]
         vals = [[1.4999999999, 2.5000001, -0.50000001]]

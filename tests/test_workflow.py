@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import typing
 
 import numpy as np
@@ -399,6 +400,23 @@ class TestScheduleKeys:
         text, _ = NON_DEFAULT[typing.get_type_hints(s.Schedule)[key]]
         with pytest.raises(s.RecipeError, match=repr(key)):
             s.parse_recipe(schedule_recipe("retrain", key, text))
+
+
+NON_FINITE_KEYS = ("lr", "momentum", "weight_decay", "lr_decay_factor")
+
+
+class TestScheduleRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg_inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_schedule(self, key, bad):
+        with pytest.raises(s.RecipeError, match=f"finite {key},"):
+            s.Schedule(**{"epochs": 1, "lr": 0.1, key: bad})
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_recipe_text(self, key, text):
+        with pytest.raises(s.RecipeError, match=f"finite {key},"):
+            s.parse_recipe(schedule_recipe("train", key, text))
 
 
 class TestRecipes:
