@@ -120,13 +120,20 @@ class TinyNet:
         return TinyNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Return each hidden layer's ReLU output, then the logits."""
+        """Return each hidden layer's ReLU output, then the logits: the one
+        forward pass behind training (:meth:`loss_and_grads`) and
+        :meth:`accuracy`. Each layer's bias add and ReLU run in place on its
+        product, which equals ``max(h @ w.T + b, 0)`` byte for byte."""
         outs = []
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w.T + b, 0.0)
+            h = np.dot(h, w.T)
+            h += b
+            np.maximum(h, 0.0, out=h)
             outs.append(h)
-        outs.append(h @ self.weights[-1].T + self.biases[-1])
+        logits = np.dot(h, self.weights[-1].T)
+        logits += self.biases[-1]
+        outs.append(logits)
         return outs
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -136,10 +143,20 @@ class TinyNet:
         return np.argmax(self.logits(x), axis=1)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(x) == y))
+        """Share of samples whose argmax is their label; :class:`ShapeError`
+        on no samples, where the share is undefined."""
+        hits = self.predict(x) == y
+        if not hits.size:
+            raise ShapeError("accuracy needs at least one sample, got none")
+        return float(np.mean(hits))
 
     def loss_and_grads(self, x, y):
-        """Softmax cross-entropy loss and analytic parameter gradients."""
+        """Softmax cross-entropy loss and analytic parameter gradients.
+
+        Runs :meth:`forward` once and backpropagates through its outputs.
+        ``y`` holds one integer label in [0, outputs) per row of ``x``, of
+        any integer dtype; :func:`train` checks that before its first step,
+        this method does not."""
         # divergence surfaces as a non-finite loss, not as numpy warnings
         with np.errstate(all="ignore"):
             *hidden, probs = self.forward(x)
@@ -148,18 +165,21 @@ class TinyNet:
             np.exp(probs, out=probs)
             probs /= np.add.reduce(probs, axis=1, keepdims=True)
             n = len(x)
-            rows = np.arange(n)
-            loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300))) / n
+            at = np.arange(0, probs.size, probs.shape[1])  # flat index of each row's label
+            at += y.astype(np.intp, copy=False)
+            picked = probs.take(at)
+            loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
 
+            picked -= 1.0
+            probs.put(at, picked)
             grad_z = probs  # softmax minus one-hot, over n
-            grad_z[rows, y] -= 1.0
             grad_z /= n
             gw, gb = [None] * len(self.weights), [None] * len(self.weights)
             for i in reversed(range(len(self.weights))):
-                gw[i] = grad_z.T @ ins[i]
+                gw[i] = np.dot(grad_z.T, ins[i])
                 gb[i] = np.add.reduce(grad_z, axis=0)
                 if i > 0:
-                    grad_z = grad_z @ self.weights[i]
+                    grad_z = np.dot(grad_z, self.weights[i])
                     grad_z *= ins[i] > 0
         return loss, gw, gb
 
@@ -220,6 +240,7 @@ def train(
     vel = np.zeros_like(params)
     grad = np.empty_like(params)
     grad_w = grad[:nw]
+    decay = np.empty_like(weights)
     rng = np.random.default_rng(schedule.seed)
     bs = schedule.batch_size
     history = {"loss": []}
@@ -235,7 +256,8 @@ def train(
                 raise DivergenceError(f"loss diverged at epoch {epoch}")
             epoch_loss += loss
             np.concatenate(gw + gb, axis=None, out=grad)
-            grad_w += schedule.weight_decay * weights
+            np.multiply(weights, schedule.weight_decay, out=decay)
+            grad_w += decay
             vel *= schedule.momentum
             grad *= lr
             vel -= grad
@@ -353,7 +375,9 @@ def validate_recipe(recipe: Recipe) -> Recipe:
 
 def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
     """Execute a validated recipe on a tiny net; returns per-phase metrics.
-    A calibrate phase records nothing: no export reads scales yet."""
+    A calibrate phase records nothing: no export reads scales yet.
+    ``final_accuracy`` is the last training phase's ``train_accuracy``. An
+    empty dataset trains, but its accuracy raises :class:`ShapeError`."""
     recipe = validate_recipe(recipe)
     masks: dict[int, Mask] = {}
     report: dict = {"phases": []}
@@ -363,7 +387,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
             # masks stays empty until the prune phase, so dense phases train dense
             net, hist = train(net, data, phase.schedule, masks=masks)
             entry["final_loss"] = hist["loss"][-1] if hist["loss"] else None
-            entry["train_accuracy"] = net.accuracy(data.x, data.y)
+            entry["train_accuracy"] = accuracy = net.accuracy(data.x, data.y)
         elif phase.kind is PhaseKind.PRUNE:
             pattern = phase.pattern or PATTERN_24
             retained = lost = 0.0
@@ -377,7 +401,7 @@ def run_recipe(recipe: Recipe, net: TinyNet, data: Dataset) -> dict:
             entry["lost_magnitude"] = lost
             entry["train_accuracy"] = net.accuracy(data.x, data.y)
         report["phases"].append(entry)
-    report["final_accuracy"] = net.accuracy(data.x, data.y)
+    report["final_accuracy"] = accuracy  # only calibrate phases, which leave the net alone, follow it
     report["net"] = net
     report["masks"] = masks
     return report

@@ -136,6 +136,15 @@ class TestDatasetFit:
         out, hist = s.train(net, data, s.Schedule(epochs=2, lr=0.05))
         assert hist["loss"] == [0.0, 0.0]
 
+    def test_accuracy_of_no_samples_rejected(self):
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        data = s.Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(s.ShapeError, match="at least one sample") as exc:
+            net.accuracy(data.x, data.y)
+        assert exc.value.code == "shape"
+        with pytest.raises(s.ShapeError, match="at least one sample"):
+            s.run_recipe(s.parse_recipe(RECIPE_BASIC), net, data)
+
 
 def reference_loss_and_grads(net, x, y):
     """Plain forward and backward pass of its own: the oracle for
@@ -217,8 +226,26 @@ class TestTrainMatchesPerLayerLoop:
             ([16, 16, 3], 250, s.Schedule(epochs=3, lr=0.05, batch_size=32, seed=4), ()),
             ([16, 16, 3], 256, s.Schedule(epochs=0, lr=0.05), (0, 1)),
             ([16, 12, 8, 3], 256, s.Schedule(epochs=4, lr=0.05, seed=5), (0, 1)),
+            # shapes where a BLAS may pick another kernel: a one-row product,
+            # a one-column head, and the shapes of the benchmark's deploy net
+            ([16, 16, 3], 33, s.Schedule(epochs=3, lr=0.05, batch_size=32, seed=4), ()),
+            ([16, 16, 3], 40, s.Schedule(epochs=2, lr=0.05, batch_size=1, seed=6), ()),
+            ([8, 8, 1], 64, s.Schedule(epochs=3, lr=0.05, weight_decay=1e-2, seed=2), ()),
+            ([32, 32, 4], 512, s.Schedule(epochs=8, lr=0.01, seed=3), (0, 1)),
         ],
-        ids=["dense", "masks_24", "one_layer_mask", "decay_and_milestones", "ragged_batch", "zero_epochs", "three_layers"],
+        ids=[
+            "dense",
+            "masks_24",
+            "one_layer_mask",
+            "decay_and_milestones",
+            "ragged_batch",
+            "zero_epochs",
+            "three_layers",
+            "one_sample_last_batch",
+            "batch_of_one",
+            "one_unit_head",
+            "deploy_shape",
+        ],
     )
     def test_byte_identical(self, sizes, samples, sched, masked):
         data = s.make_blobs(samples=samples, features=sizes[0], classes=sizes[-1], seed=7)
@@ -242,6 +269,22 @@ class TestTrainMatchesPerLayerLoop:
         with pytest.raises(s.DivergenceError) as got:
             s.train(net, blobs, sched)
         assert str(got.value) == str(want.value) == "loss diverged at epoch 7"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_label_dtype_matches_int64(self, dtype):
+        data = s.make_blobs(samples=100, features=16, classes=3, seed=7)
+        assert data.y.dtype == np.int64
+        cast = s.Dataset(data.x, data.y.astype(dtype))
+        net = s.TinyNet.init([16, 16, 3], seed=7)
+        sched = s.Schedule(epochs=3, lr=0.05, seed=2)
+        (want, want_hist), (got, got_hist) = (s.train(net, d, sched) for d in (data, cast))
+        for a, b in zip(want.weights + want.biases, got.weights + got.biases):
+            assert a.tobytes() == b.tobytes()
+        assert want_hist == got_hist
+        want_lg, got_lg = (net.loss_and_grads(data.x, y) for y in (data.y, cast.y))
+        assert want_lg[0] == got_lg[0]
+        for a, b in zip(want_lg[1] + want_lg[2], got_lg[1] + got_lg[2]):
+            assert a.tobytes() == b.tobytes()
 
     def test_loss_and_grads_byte_identical(self, rng):
         for sizes in ([4, 4, 2], [9, 7, 5, 3]):
