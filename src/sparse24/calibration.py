@@ -309,10 +309,6 @@ def _to_int8(values: np.ndarray, scale: ScaleSet) -> np.ndarray:
     return round_array(values.astype(np.float64) / s, ElemType.INT8)
 
 
-def dequantize(q: DenseMatrix, scale: ScaleSet) -> np.ndarray:
-    return q.data.astype(np.float64) * scale.per_row_of(q.rows)[:, None]
-
-
 def quantized_sparse_gemm(
     a: SparseNM,
     b: DenseMatrix,

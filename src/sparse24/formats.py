@@ -141,34 +141,126 @@ def require_finite(values: np.ndarray, what: str) -> None:
 
 def _to_storage(values: np.ndarray, elem: ElemType) -> np.ndarray:
     """The ``STORAGE_DTYPE`` words of values ``elem`` holds: ``values``
-    itself when it already has that dtype (FP32), else a new array."""
+    itself when it already has that dtype (FP32), else a new array.
+
+    An FP16 word is the sign in bit 15 over the bits of |x| * 2**-112
+    shifted right by 13: the product rebiases the exponent, and turns fp16
+    subnormals into float32 subnormals. Where that gives exponent 31, ±inf
+    and finite values give the ±inf word, and a NaN keeps its top 10
+    fraction bits (bit 0 set when all are 0). A value fp16 cannot hold loses
+    bits, so it does not read back as itself.
+    """
+    bits = values.view(np.uint32)
     if elem is ElemType.BF16:
-        return (values.view(np.uint32) >> 16).astype(STORAGE_DTYPE[elem])
+        return (bits >> 16).astype(STORAGE_DTYPE[elem])
     if elem is ElemType.TF32:
-        return (values.view(np.uint32) & np.uint32(0xFFFFE000)).view(STORAGE_DTYPE[elem])
+        return (bits & np.uint32(0xFFFFE000)).view(STORAGE_DTYPE[elem])
+    if elem is ElemType.FP16:
+        words = np.empty(values.shape, dtype=np.uint16)
+        np.right_shift(bits, 16, out=words, casting="unsafe")
+        words &= 0x8000
+        scaled = np.abs(values, out=np.empty(values.shape, dtype=np.float32))
+        with np.errstate(invalid="ignore"):  # a signaling NaN; its word is set below
+            scaled *= np.float32(2.0**-112)
+        low = scaled.view(np.uint32)
+        low >>= 13
+        if low.max(initial=0) >= 0x7C00:
+            special = low >= 0x7C00
+            nan = np.isnan(values[special])
+            low[special] = np.where(nan, _fp16_nan(bits[special]) >> 13 & 0x7FFF, 0x7C00)
+        words |= low
+        return words.view(STORAGE_DTYPE[elem])
     return values.astype(STORAGE_DTYPE[elem], copy=False)
 
 
 def _from_storage(words: np.ndarray, elem: ElemType) -> np.ndarray:
-    """The in-memory values of storage words: int32 for INT8, else float32."""
+    """The in-memory values of storage words: int32 for INT8, else float32.
+
+    FP16 inverts :func:`_to_storage`: bits 0-14 of a word, shifted left 13
+    under its sign, read as float32 and times 2**112; exponent 31 gives
+    float32's exponent 255 under the same 10 fraction bits (±inf or NaN).
+    """
     if elem is ElemType.BF16:
         return np.left_shift(words, 16, dtype=np.uint32).view(np.float32)
+    if elem is ElemType.FP16:
+        bits = np.empty(words.shape, dtype=np.uint32)
+        np.left_shift(words.view(np.uint16), 16, out=bits, dtype=np.uint32)
+        signed = bits.view(np.int32)
+        signed >>= 3  # the sign fills bits 28-31, the rest lands 13 bits up
+        bits &= 0x8FFFFFFF
+        values = bits.view(np.float32)
+        values *= np.float32(2.0**112)
+        if values.max(initial=0) >= 65536 or values.min(initial=0) <= -65536:
+            bits[np.abs(values) >= 65536] += 0x38000000  # exponent 143 to 255
+        return values
     return words.astype(np.int32 if elem is ElemType.INT8 else np.float32, copy=False)
+
+
+def _fp16_nan(bits: np.ndarray) -> np.ndarray:
+    """The float32 words of NaNs as fp16 holds them, as numpy's cast gives
+    them: the top 10 fraction bits, with the lowest of them set when all 10
+    are 0, since they would otherwise read as ±inf."""
+    kept = bits & np.uint32(0xFFFFE000)
+    kept[(kept & 0x007FE000) == 0] |= 0x2000
+    return kept
+
+
+def _round_fp16(x: np.ndarray) -> np.ndarray:
+    """Float32 ``x`` rounded to fp16, in a new float32 array; see :func:`round_array`."""
+    bits = x.view(np.uint32)
+    out = np.abs(x, out=np.empty(x.shape, dtype=np.float32))
+    rare = not out.max(initial=0) <= 65504  # ±inf, NaN or a magnitude that may round past 65 504
+    words = out.view(np.uint32)
+    words -= 1  # |x|'s words less 1: 0 wraps to the top, so the test below passes over zeros
+    subnormal = np.flatnonzero(words < 0x387FFFFF)  # nonzero magnitudes below 2**-14
+    # round to nearest even at fp16's 10 fraction bits, in place on the result's words
+    np.right_shift(bits, 13, out=words)
+    words &= 1
+    words += bits
+    words += 0x0FFF
+    words &= 0xFFFFE000
+    if subnormal.size:  # fp16's fixed quantum 2**-24 is float32's at 0.5
+        small = np.take(x, subnormal)
+        rounded = np.abs(small)
+        rounded += 0.5
+        rounded -= 0.5
+        np.put(out, subnormal, np.copysign(rounded, small))
+    if rare:
+        big = np.abs(out) > 65504
+        out[big] = np.copysign(np.inf, out[big])
+        nan = np.isnan(x)
+        words[nan] = _fp16_nan(bits[nan])
+    return out
 
 
 def round_array(x: np.ndarray, elem: ElemType) -> np.ndarray:
     """Round values into the target element type; always a new array.
 
-    Float formats give float32: FP16 and BF16 round to nearest even, TF32 cuts
-    the mantissa to 10 explicit bits, and a NaN stays NaN. INT8 rounds half to
-    even in float64 and saturates to int32 in [-128, 127]; NaN raises NonFiniteError.
-    A float value beyond the target's range becomes ±inf, with no warning.
+    Float formats give float32, and round from float32: float64 input is
+    converted to float32 first, so 1 + 2**-11 + 2**-40 becomes 1.0 in FP16
+    where a direct rounding would give 1 + 2**-10. FP16 and BF16 round to
+    nearest even, TF32 cuts the mantissa to 10 explicit bits, and a NaN stays
+    NaN. INT8 rounds half to even in float64 and saturates to int32 in
+    [-128, 127]; NaN raises NonFiniteError. A float value beyond the target's
+    range becomes ±inf, with no warning.
+
+    FP16 follows integer rules on the float32 words and equals numpy's
+    float32 to float16 cast bit for bit. It adds 0x0FFF plus the lowest kept
+    bit and clears the 13 low bits. Magnitudes below 2**-14 instead round to
+    fp16's fixed quantum 2**-24, by adding and then subtracting 0.5 in
+    float32. Results above 65 504 become ±inf. A NaN keeps its top 10
+    fraction bits, with the lowest of them set when all 10 are 0. The result
+    is not passed through :func:`_to_storage` and :func:`_from_storage`:
+    that pair maps each of the 65 536 fp16 values to itself, and every result
+    is one of them.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing casts saturate by design
         dtype = np.float64 if elem is ElemType.INT8 else np.float32
         # FP32's storage words are x itself, so there x is the one owned copy
         # (the conversion, if the dtype changes); every other path makes new arrays
         x = np.array(x, dtype=dtype) if elem is ElemType.FP32 else np.asarray(x, dtype=dtype)
+        if elem is ElemType.FP16:
+            return _round_fp16(x)
         if elem is ElemType.INT8:
             x = np.clip(np.rint(x), -128, 127)
             if np.isnan(x).any():

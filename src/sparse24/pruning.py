@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,10 @@ class PermutationError(ValueError):
 
 
 class SearchModeError(ValueError):
-    """A permutation search mode other than exhaustive or greedy, or an
-    exhaustive search over more partitions than ``max_swaps``."""
+    """A permutation search mode other than exhaustive or greedy, an
+    exhaustive search over more partitions than ``max_swaps``, or a
+    :class:`SearchBudget` whose ``restarts``, ``max_swaps`` or ``seed`` is
+    not a non-negative integer."""
 
     code = "search_mode"
 
@@ -75,6 +78,8 @@ class SearchBudget:
     mode="exhaustive" enumerates all distinct group partitions, if at most
     ``max_swaps``; mode="greedy" runs pairwise-column-swap hill climbing
     with restarts. ``stats`` is filled in by the search (e.g. swaps_used).
+    ``restarts``, ``max_swaps`` and ``seed`` must be non-negative integers,
+    else :class:`SearchModeError`.
     """
 
     mode: str = "greedy"
@@ -82,6 +87,12 @@ class SearchBudget:
     max_swaps: int = 10_000
     seed: int = 0
     stats: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("restarts", "max_swaps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise SearchModeError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def prune_magnitude(w: DenseMatrix, pattern: NMPattern) -> PruneResult:

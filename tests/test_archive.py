@@ -335,11 +335,14 @@ class TestErrors:
             (np.array([[200, -300]], dtype=np.int32), s.INT8),
             (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.BF16),
             (np.array([[1.0, 1 + 2.0**-20]], dtype=np.float32), s.FP16),
+            (np.array([[1.0, 1 + 2.0**-12]], dtype=np.float32), s.FP16),
+            (np.array([[1.0, 2.0**-26]], dtype=np.float32), s.FP16),  # below half the least subnormal
+            (np.array([[1.0, 70000.0]], dtype=np.float32), s.FP16),  # beyond 65 504
             # a NaN whose payload lies only in the bits the type drops
             (np.array([[0x3F800000, 0x7F800001]], dtype=np.uint32).view(np.float32), s.BF16),
             (np.array([[0x3F800000, 0x7F800001]], dtype=np.uint32).view(np.float32), s.TF32),
         ],
-        ids=["int8", "bf16", "fp16", "bf16-nan", "tf32-nan"],
+        ids=["int8", "bf16", "fp16", "fp16-1+2^-12", "fp16-2^-26", "fp16-70000", "bf16-nan", "tf32-nan"],
     )
     def test_value_its_type_cannot_hold_rejected_on_write(self, tmp_path, values, fmt):
         # built directly, not through from_values, so nothing rounded them

@@ -123,6 +123,114 @@ def test_storage_words_give_back_the_rounded_values(words, int8_inputs):
             assert np.array_equal(np.isnan(r), np.isnan(x))
 
 
+FP16_CHUNK = 1 << 21  # float32 patterns checked at a time, so memory stays small
+
+
+def numpy_fp16(x32: np.ndarray) -> np.ndarray:
+    """The oracle: numpy's float32 -> float16 -> float32 casts."""
+    with np.errstate(over="ignore"):  # overflow to ±inf is the rule
+        return x32.astype(np.float16).astype(np.float32)
+
+
+def assert_fp16_rounds_as_numpy_casts(words: np.ndarray) -> None:
+    """round_array(FP16) of the float32 bit patterns ``words`` equals the oracle bit for bit."""
+    x = words.view(np.float32)
+    got = round_array(x, ElemType.FP16).view(np.uint32)
+    bad = np.flatnonzero(got != numpy_fp16(x).view(np.uint32))
+    assert not bad.size, [f"{w:#010x} -> {g:#010x}" for w, g in zip(words[bad[:4]], got[bad[:4]])]
+
+
+def assert_fp16_range_rounds_as_numpy_casts(start: int, stop: int) -> None:
+    """The same for the patterns [start, stop), a chunk at a time."""
+    for low in range(start, stop, FP16_CHUNK):
+        assert_fp16_rounds_as_numpy_casts(np.arange(low, min(stop, low + FP16_CHUNK), dtype=np.uint32))
+
+
+class TestFP16BitRules:
+    """FP16 rounding and storage words follow integer rules; numpy's casts are the oracle."""
+
+    @pytest.mark.parametrize(
+        "sign, exponent",
+        [(0, 0x66), (1, 0x70), (0, 0x71), (1, 0x71), (0, 0x8E), (1, 0x8E), (0, 0xFF), (1, 0xFF)],
+        ids=["2^-25", "-2^-15", "2^-14", "-2^-14", "2^15", "-2^15", "inf-nan", "-inf-nan"],
+    )
+    def test_every_pattern_of_a_boundary_exponent(self, sign, exponent):
+        # [2^-25, 2^-24) holds the subnormal quantum's ties to 0 and to 2^-24;
+        # [2^-15, 2^-14) and [2^-14, 2^-13) the 2^-14 edge; [2^15, 2^16) the
+        # 65504/65520 overflow edge; exponent 255 every NaN class and ±inf.
+        # numpy's cast takes ~0.1 us a value below 2^-14, so only one sign
+        # of each of those two slices runs here; the exhaustive sweep has all
+        start = sign << 31 | exponent << 23
+        assert_fp16_range_rounds_as_numpy_casts(start, start + (1 << 23))
+
+    @pytest.mark.parametrize(
+        "word, want",
+        [
+            (0x00000000, 0x00000000),
+            (0x80000000, 0x80000000),
+            (0x7F800000, 0x7F800000),
+            (0xFF800000, 0xFF800000),
+            (0x7FC00000, 0x7FC00000),  # quiet
+            (0xFFC00001, 0xFFC00000),  # quiet, a payload below the kept bits
+            (0x7FA00000, 0x7FA00000),  # signaling: not quieted
+            (0xFF800001, 0xFF802000),  # payload only below the kept bits: bit 13 set
+            (0x7F801FFF, 0x7F802000),
+            (0x7FFFFFFF, 0x7FFFE000),  # rounding would carry out of the exponent
+            (0xFFFFF000, 0xFFFFE000),
+            (0x33000000, 0x00000000),  # 2^-25, a tie, to even: 0
+            (0xB3000001, 0xB3800000),  # just above it: -2^-24
+            (0x387FE000, 0x38800000),  # 2^-14 - 2^-25, a tie, to even: 2^-14
+            (0x477FEFFF, 0x477FE000),  # below 65520: 65504
+            (0xC77FF000, 0xFF800000),  # -65520, a tie, to even: -inf
+        ],
+    )
+    def test_specials_and_edges(self, word, want):
+        x = np.array([word], dtype=np.uint32).view(np.float32)
+        assert round_array(x, ElemType.FP16).view(np.uint32)[0] == want
+        assert numpy_fp16(x).view(np.uint32)[0] == want
+
+    def test_random_patterns_as_float32_and_float64(self):
+        rng = np.random.default_rng(27)
+        words = rng.integers(0, 1 << 32, size=1 << 20, dtype=np.uint32)
+        assert_fp16_rounds_as_numpy_casts(words)
+        # float64 input is converted to float32 first; either cast quiets a signaling NaN
+        wide = rng.integers(0, 1 << 64, size=1 << 20, dtype=np.uint64).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            narrow = words.view(np.float32).astype(np.float64)
+        for x64 in (narrow, wide):
+            with np.errstate(over="ignore", invalid="ignore"):
+                x32 = x64.astype(np.float32)
+            assert np.array_equal(round_array(x64, ElemType.FP16).view(np.uint32), numpy_fp16(x32).view(np.uint32))
+
+    def test_every_word_reads_and_writes_as_numpy_casts(self):
+        words = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+        want = words.view(np.float16).astype(np.float32)
+        values = _from_storage(words.view(STORAGE_DTYPE[ElemType.FP16]), ElemType.FP16)
+        assert np.array_equal(values.view(np.uint32), want.view(np.uint32))
+        stored = _to_storage(values, ElemType.FP16)
+        assert stored.dtype == STORAGE_DTYPE[ElemType.FP16]
+        assert np.array_equal(stored.view(np.uint16), words)
+
+    def test_results_are_fp16_values_the_words_keep(self):
+        # the word pair maps each of the 65 536 fp16 values to itself, so a
+        # rounded result needs no trip through it: it is one of those values
+        values = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16).astype(np.float32)
+        assert np.array_equal(round_array(values, ElemType.FP16).view(np.uint32), values.view(np.uint32))
+        words = np.random.default_rng(28).integers(0, 1 << 32, size=1 << 16, dtype=np.uint32)
+        got = round_array(words.view(np.float32), ElemType.FP16)
+        assert np.isin(got.view(np.uint32), values.view(np.uint32)).all()
+
+    def test_float64_rounds_through_float32(self):
+        # a direct float64 rounding would give 1 + 2^-10
+        assert round_array(np.array([1 + 2.0**-11 + 2.0**-40]), ElemType.FP16)[0] == 1.0
+
+
+@pytest.mark.exhaustive
+def test_fp16_rounding_of_every_float32_pattern():
+    """All 2^32 patterns (minutes): run with ``pytest -m exhaustive``."""
+    assert_fp16_range_rounds_as_numpy_casts(0, 1 << 32)
+
+
 def test_dense_matrix_needs_2d_data():
     with pytest.raises(s.ShapeError):
         s.DenseMatrix(np.zeros(4, dtype=np.float32), s.FP32)

@@ -247,6 +247,15 @@ class TestPermutationSearch:
             s.find_permutation(w, s.PATTERN_24, s.SearchBudget(mode="exhaustive"))
         assert exc.value.code == "search_mode" and "59287247761257140625 partitions" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [-1, 0.5])
+    @pytest.mark.parametrize("field", ["restarts", "max_swaps", "seed"])
+    def test_budget_field_not_a_count_rejected(self, field, value):
+        # a negative seed used to end in numpy's bare ValueError, and a
+        # negative restarts or max_swaps was read as 1 or 0
+        with pytest.raises(s.SearchModeError, match=field) as exc:
+            s.SearchBudget(**{field: value})
+        assert exc.value.code == "search_mode"
+
     def test_exhaustive_bound_is_the_partition_count(self, rng):
         w = random_dense(rng, 4, 12, s.FP16)  # 5 775 partitions
         budget = s.SearchBudget(mode="exhaustive", max_swaps=5775)
