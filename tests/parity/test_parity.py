@@ -11,8 +11,14 @@ their own digest, ``round_array/nan``. Calibration has one digest per
 method and granularity of ``calibrate``'s scales, one per histogram family
 of ``entropy_threshold``'s clip points, and one each for the error class,
 text and code of malformed histograms and calibration samples.
+Training has one digest each for ``loss_and_grads``, dense ``train`` (with
+a divergence message) and masked ``train`` with weight decay and lr decay,
+and one for ``run_recipe``'s report, final net and masks.
 ``find_transposable_mask`` is left out: it scores tiles with a BLAS
-product, whose summation order is the BLAS build's.
+product, whose summation order is the BLAS build's. The training digests
+rest on BLAS products too, so they hold for one BLAS build and CPU kernel:
+on another, regenerate them and check that only ``train/*`` and
+``run_recipe`` move.
 
 ``manifest.json`` holds the expected digests. A change that alters outputs
 by design regenerates it with ``PYTHONPATH=src python tests/parity/test_parity.py``,
@@ -359,7 +365,58 @@ def corpus() -> dict[str, str]:
     d("calibrate/errors").add(*_error(lambda: s.calibrate(uneven, s.CalibMethod("max"), s.Granularity.PER_ROW)))
     d("calibrate/errors").add(*_error(lambda: s.calibrate([], s.CalibMethod("entropy"))))
 
+    for sizes, samples in (([4, 4, 2], 11), ([16, 16, 3], 96), ([9, 7, 5, 3], 40), ([32, 32, 4], 128)):
+        data = s.make_blobs(samples=samples, features=sizes[0], classes=sizes[-1], seed=int(rng.integers(100)))
+        net = s.TinyNet.init(sizes, seed=int(rng.integers(100)))
+        for labels in (data.y, data.y.astype(np.uint8)):
+            loss, gw, gb = net.loss_and_grads(data.x, labels)
+            d("train/loss_and_grads").add(loss, *gw, *gb)
+        dense = s.Schedule(epochs=3, lr=0.05, batch_size=int(rng.integers(1, 40)), seed=int(rng.integers(100)))
+        trained, hist = s.train(net, data, dense)
+        d("train/dense").add(*trained.weights, *trained.biases, hist["loss"])
+        # 2:4 masks on the layers whose inputs are a multiple of 4 wide
+        masks = {i: _mask_24(w) for i, w in enumerate(trained.weights) if w.shape[1] % 4 == 0}
+        decayed = s.Schedule(epochs=4, lr=0.05, weight_decay=1e-3, lr_decay_epochs=(1, 3), lr_decay_factor=0.5)
+        retrained, hist = s.train(trained, data, decayed, masks=masks)
+        d("train/masked").add(sorted(masks), *retrained.weights, *retrained.biases, hist["loss"])
+    blobs = s.make_blobs(samples=64, features=16, classes=3, seed=1)
+    with pytest.raises(s.DivergenceError) as diverged:
+        s.train(s.TinyNet.init([16, 16, 3], seed=1), blobs, s.Schedule(epochs=20, lr=1e6))
+    d("train/dense").add(str(diverged.value))
+
+    for seed in (3, 4):
+        data = s.make_blobs(samples=128, features=32, classes=4, spread=1.5, seed=seed)
+        report = s.run_recipe(s.parse_recipe(RECIPE), s.TinyNet.init([32, 32, 4], seed=seed), data)
+        for phase in report["phases"]:
+            d("run_recipe").add(*sorted(phase.items()))
+        net, masks = report["net"], report["masks"]
+        d("run_recipe").add(report["final_accuracy"], *net.weights, *net.biases, *(masks[i].bits for i in sorted(masks)))
+
     return {name: h.hexdigest() for name, h in sorted(digests.items())}
+
+
+RECIPE = """
+[phase.dense]
+kind = train_dense
+epochs = 4
+lr = 0.05
+weight_decay = 1e-4
+seed = 2
+[phase.prune]
+kind = prune
+pattern = 2:4
+[phase.retrain]
+kind = retrain_sparse
+[phase.finetune]
+kind = finetune_sparse
+epochs = 2
+lr = 0.01
+lr_decay_epochs = 1
+"""
+
+
+def _mask_24(w: np.ndarray) -> s.Mask:
+    return s.prune_magnitude(s.DenseMatrix(w.astype(np.float32), s.FP32), s.PATTERN_24).mask
 
 
 def _post_relu(rng, shape) -> np.ndarray:
