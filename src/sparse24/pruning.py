@@ -218,11 +218,11 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
         blocks = cur.reshape(groups, m, rows)[sel]
         s = np.sort(blocks, axis=1)  # ascending: the n-th largest is s[:, m - n]
         nth, after = s[:, m - n : m - n + 1], s[:, m - n - 1 : m - n]
-        top_sum = s[:, m - n :].sum(axis=1, keepdims=True)
+        top_sum = np.add.reduce(s[:, m - n :], axis=1, keepdims=True)
         # taking an entry out of the top n lets the (n+1)-th largest in
         inside = blocks >= nth
-        base_sum.reshape(groups, m)[sel] = np.where(inside, top_sum - blocks + after, top_sum).sum(axis=2)
-        score.reshape(groups, m)[sel] = top_sum.sum(axis=2)
+        base_sum.reshape(groups, m)[sel] = np.add.reduce(np.where(inside, top_sum - blocks + after, top_sum), axis=2)
+        score.reshape(groups, m)[sel] = np.add.reduce(top_sum, axis=2)
         thr.reshape(groups, m, rows)[sel] = np.where(inside, after, nth)
 
     refresh(slice(None))
@@ -245,11 +245,11 @@ def _greedy_sweeps(absw: np.ndarray, order: np.ndarray, pattern: NMPattern, swap
             pq = window[run_at]
             # per pair (p, q): x[:, 0] is the column at q against thr[p], and
             # x[:, 1] the column at p against thr[q]
-            x = np.take(cur, swapped[run_at], axis=0)
-            x -= np.take(thr, pq, axis=0)
+            x = cur.take(swapped[run_at], axis=0)
+            x -= thr.take(pq, axis=0)
             np.maximum(x, 0.0, out=x)
             pair_sums = sums[pq]  # (pair, p | q, base_sum | group score)
-            new = pair_sums[:, :, 0] + x.sum(axis=2)
+            new = pair_sums[:, :, 0] + np.add.reduce(x, axis=2)
             gain = new[:, 0] + new[:, 1] > pair_sums[:, 0, 1] + pair_sums[:, 1, 1]
             k = int(gain.argmax())
             if not gain[k]:

@@ -12,6 +12,7 @@ import configparser
 import io
 import itertools
 import math
+import numbers
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -63,7 +64,12 @@ def eligible(layer: LayerManifest) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Fixed training schedule; retraining must reuse it field for field."""
+    """Fixed training schedule; retraining must reuse it field for field.
+
+    ``epochs`` and ``seed`` are integers >= 0 and ``batch_size`` one >= 1,
+    ``lr_decay_epochs`` is a tuple of integers and the float fields are
+    finite; anything else raises :class:`RecipeError`. numpy integers count
+    as integers."""
 
     epochs: int
     lr: float
@@ -75,13 +81,17 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise RecipeError(f"need epochs >= 0 and batch_size >= 1, got {self.epochs}, {self.batch_size}")
-        if self.seed < 0:
-            raise RecipeError(f"need seed >= 0, got {self.seed}")
+        for key, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise RecipeError(f"need an integer {key} >= {least}, got {value!r}")
+        milestones = self.lr_decay_epochs
+        if not isinstance(milestones, tuple) or not all(isinstance(e, numbers.Integral) for e in milestones):
+            raise RecipeError(f"need lr_decay_epochs as a tuple of integers, got {milestones!r}")
         for key in ("lr", "momentum", "weight_decay", "lr_decay_factor"):
-            if not math.isfinite(getattr(self, key)):
-                raise RecipeError(f"need a finite {key}, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise RecipeError(f"need a finite {key}, got {value!r}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
@@ -106,8 +116,8 @@ class TinyNet:
 
     @classmethod
     def init(cls, layer_sizes: list[int], seed: int) -> "TinyNet":
-        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
-            raise ShapeError(f"need at least two layer sizes, each at least 1, got {list(layer_sizes)}")
+        if len(layer_sizes) < 2 or not all(isinstance(n, numbers.Integral) and n >= 1 for n in layer_sizes):
+            raise ShapeError(f"need at least two layer sizes, each an integer >= 1, got {list(layer_sizes)}")
         rng = np.random.default_rng(seed)
         ws, bs = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -126,14 +136,13 @@ class TinyNet:
         product, which equals ``max(h @ w.T + b, 0)`` byte for byte."""
         outs = []
         h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        last = len(self.weights) - 1
+        for i, w in enumerate(self.weights):
             h = np.dot(h, w.T)
-            h += b
-            np.maximum(h, 0.0, out=h)
+            h += self.biases[i]
+            if i < last:
+                np.maximum(h, 0.0, out=h)
             outs.append(h)
-        logits = np.dot(h, self.weights[-1].T)
-        logits += self.biases[-1]
-        outs.append(logits)
         return outs
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -156,31 +165,35 @@ class TinyNet:
         Runs :meth:`forward` once and backpropagates through its outputs.
         ``y`` holds one integer label in [0, outputs) per row of ``x``, of
         any integer dtype; :func:`train` checks that before its first step,
-        this method does not."""
-        # divergence surfaces as a non-finite loss, not as numpy warnings
-        with np.errstate(all="ignore"):
-            *hidden, probs = self.forward(x)
-            ins = [x, *hidden]  # each layer's input, kept for backward
-            probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-            np.exp(probs, out=probs)
-            probs /= np.add.reduce(probs, axis=1, keepdims=True)
-            n = len(x)
-            at = np.arange(0, probs.size, probs.shape[1])  # flat index of each row's label
-            at += y.astype(np.intp, copy=False)
-            picked = probs.take(at)
-            loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
+        this method does not.
 
-            picked -= 1.0
-            probs.put(at, picked)
-            grad_z = probs  # softmax minus one-hot, over n
-            grad_z /= n
-            gw, gb = [None] * len(self.weights), [None] * len(self.weights)
-            for i in reversed(range(len(self.weights))):
-                gw[i] = np.dot(grad_z.T, ins[i])
-                gb[i] = np.add.reduce(grad_z, axis=0)
-                if i > 0:
-                    grad_z = np.dot(grad_z, self.weights[i])
-                    grad_z *= ins[i] > 0
+        It runs under its caller's numpy error state: weights that diverge
+        give overflow and invalid-value warnings (errors, if the caller made
+        them so) on the way to a non-finite loss. :func:`train` calls it
+        under ``np.errstate(all="ignore")`` and checks the loss instead."""
+        ins = self.forward(x)
+        probs = ins.pop()  # the logits; ins becomes each layer's input, kept for backward
+        ins.insert(0, x)
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
+        n = len(x)
+        at = np.arange(0, probs.size, probs.shape[1])  # flat index of each row's label
+        at += y.astype(np.intp, copy=False)
+        picked = probs.take(at)
+        loss = -float(np.add.reduce(np.log(picked + 1e-300))) / n
+
+        picked -= 1.0
+        probs.put(at, picked)
+        grad_z = probs  # softmax minus one-hot, over n
+        grad_z /= n
+        gw, gb = [None] * len(self.weights), [None] * len(self.weights)
+        for i in reversed(range(len(self.weights))):
+            gw[i] = np.dot(grad_z.T, ins[i])
+            gb[i] = np.add.reduce(grad_z, axis=0)
+            if i > 0:
+                grad_z = np.dot(grad_z, self.weights[i])
+                grad_z *= ins[i] > 0
         return loss, gw, gb
 
 
@@ -203,7 +216,10 @@ def train(
     net that owns its arrays and ``{"loss": [mean batch loss per epoch]}``.
     A dataset that does not fit the net (``x`` not (samples, inputs), or
     ``y`` not one integer label in [0, outputs) per sample) raises
-    :class:`ShapeError` before the first step.
+    :class:`ShapeError` before the first step. The labels are cast to intp
+    once, and the epoch loop runs under one ``np.errstate(all="ignore")``:
+    divergence raises :class:`DivergenceError` from a non-finite loss, and
+    the caller's error state is back in force when this returns or raises.
     Accuracy is left to the caller: it reads the weights without changing
     them, so measuring it here would cost a forward pass per epoch for
     nothing.
@@ -243,28 +259,31 @@ def train(
     decay = np.empty_like(weights)
     rng = np.random.default_rng(schedule.seed)
     bs = schedule.batch_size
+    labels = y.astype(np.intp, copy=False)  # loss_and_grads indexes with them
     history = {"loss": []}
-    for epoch in range(schedule.epochs):
-        lr = schedule.lr_at(epoch)
-        order = rng.permutation(len(data.x))
-        xs, ys = data.x[order], data.y[order]
-        starts = range(0, len(order), bs)
-        epoch_loss = 0.0
-        for start in starts:
-            loss, gw, gb = trained.loss_and_grads(xs[start : start + bs], ys[start : start + bs])
-            if not math.isfinite(loss):
-                raise DivergenceError(f"loss diverged at epoch {epoch}")
-            epoch_loss += loss
-            np.concatenate(gw + gb, axis=None, out=grad)
-            np.multiply(weights, schedule.weight_decay, out=decay)
-            grad_w += decay
-            vel *= schedule.momentum
-            grad *= lr
-            vel -= grad
-            params += vel
-            if masks:
-                weights *= keep
-        history["loss"].append(epoch_loss / max(len(starts), 1))
+    # divergence surfaces as a non-finite loss, not as numpy warnings
+    with np.errstate(all="ignore"):
+        for epoch in range(schedule.epochs):
+            lr = schedule.lr_at(epoch)
+            order = rng.permutation(len(x))
+            xs, ys = x[order], labels[order]
+            starts = range(0, len(order), bs)
+            epoch_loss = 0.0
+            for start in starts:
+                loss, gw, gb = trained.loss_and_grads(xs[start : start + bs], ys[start : start + bs])
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"loss diverged at epoch {epoch}")
+                epoch_loss += loss
+                np.concatenate(gw + gb, axis=None, out=grad)
+                np.multiply(weights, schedule.weight_decay, out=decay)
+                grad_w += decay
+                vel *= schedule.momentum
+                grad *= lr
+                vel -= grad
+                params += vel
+                if masks:
+                    weights *= keep
+            history["loss"].append(epoch_loss / max(len(starts), 1))
     return trained.clone(), history
 
 
@@ -280,7 +299,12 @@ class Dataset:
 def make_blobs(
     samples: int = 512, features: int = 64, classes: int = 4, spread: float = 1.0, seed: int = 0
 ) -> Dataset:
-    """Seeded Gaussian-blob classification task, self-contained and fast."""
+    """Seeded Gaussian-blob classification task, self-contained and fast.
+    ``samples`` is an integer >= 0, ``features`` and ``classes`` integers
+    >= 1; anything else raises :class:`ShapeError`."""
+    for key, value, least in (("samples", samples, 0), ("features", features, 1), ("classes", classes, 1)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ShapeError(f"need an integer {key} >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, features)) * 3.0
     y = rng.integers(0, classes, size=samples)

@@ -408,6 +408,24 @@ class TestEntropyRejectsMalformed:
         with pytest.raises(s.ShapeError):
             entropy_threshold(np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "hist",
+        [np.full(HIST_BINS, 1e308), np.r_[np.full(1024, 1e305), np.zeros(1024)]],
+        ids=["sum_overflows", "sum_finite"],
+    )
+    def test_total_whose_sums_overflow(self, hist):
+        # numpy's overflow warnings are errors in this suite, so a check
+        # that came too late would fail with RuntimeWarning, not this
+        with pytest.raises(s.HistogramError, match=r"2\*\*1000") as exc:
+            entropy_threshold(np.stack([np.ones(HIST_BINS), hist]))
+        assert exc.value.code == "histogram"
+
+    def test_total_on_each_side_of_the_rule(self):
+        laplace = np.exp(-np.arange(HIST_BINS) / 150.0)  # totals about 2**7.23
+        assert entropy_threshold(laplace * 2.0**992) == entropy_threshold(laplace) == 1664
+        with pytest.raises(s.HistogramError):
+            entropy_threshold(laplace * 2.0**993)
+
 
 class TestScaleSet:
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])

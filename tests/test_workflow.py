@@ -97,12 +97,51 @@ class TestTrainer:
         with pytest.raises(s.workflow.DivergenceError):
             s.train(net, blobs, s.Schedule(epochs=20, lr=1e6))
 
+    @pytest.mark.parametrize("lr", [0.05, 1e6], ids=["returns", "diverges"])
+    def test_numpy_error_state_restored(self, net, blobs, lr):
+        with np.errstate(over="raise", under="warn", divide="ignore", invalid="raise"):
+            before = np.geterr()
+            diverged = False
+            try:
+                s.train(net, blobs, s.Schedule(epochs=20, lr=lr))
+            except s.DivergenceError:
+                diverged = True
+            assert diverged == (lr == 1e6)
+            assert np.geterr() == before
+
+    def test_loss_and_grads_runs_under_the_callers_error_state(self, net, blobs):
+        net.weights[0] *= 1e300  # the logits overflow to ±inf, and softmax takes inf - inf
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            net.loss_and_grads(blobs.x, blobs.y)
+
 
 class TestInit:
-    @pytest.mark.parametrize("sizes", [[], [4], [4, 0], [0, 4], [4, 4, 0]])
+    @pytest.mark.parametrize("sizes", [[], [4], [4, 0], [0, 4], [4, 4, 0], [4.5, 2], [4, 2.0]])
     def test_needs_two_positive_layer_sizes(self, sizes):
-        with pytest.raises(s.ShapeError):
+        with pytest.raises(s.ShapeError) as exc:
             s.TinyNet.init(sizes, 0)
+        assert exc.value.code == "shape"
+
+    def test_numpy_integer_sizes(self):
+        net = s.TinyNet.init([np.int64(4), np.uint8(2)], 0)
+        assert [w.shape for w in net.weights] == [(2, 4)]
+
+
+class TestMakeBlobs:
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(classes=0), dict(samples=-1), dict(features=-2), dict(samples=2.5), dict(features=0), dict(classes=2.0)],
+        ids=["no_classes", "negative_samples", "negative_features", "fraction_samples", "no_features", "float_classes"],
+    )
+    def test_bad_size_rejected(self, kw):
+        with pytest.raises(s.ShapeError) as exc:
+            s.make_blobs(**kw)
+        assert exc.value.code == "shape"
+
+    def test_no_samples_and_numpy_integers(self):
+        assert s.make_blobs(samples=0).x.shape == (0, 64)
+        data = s.make_blobs(samples=np.int64(5), features=np.int32(3), classes=np.uint8(2))
+        assert data.x.shape == (5, 3) and data.y.max() < 2
 
 
 class TestDatasetFit:
@@ -443,6 +482,27 @@ class TestScheduleKeys:
         text, _ = NON_DEFAULT[typing.get_type_hints(s.Schedule)[key]]
         with pytest.raises(s.RecipeError, match=repr(key)):
             s.parse_recipe(schedule_recipe("retrain", key, text))
+
+
+class TestScheduleRejectsNonIntegers:
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("epochs", 1.5), ("batch_size", 2.0), ("seed", 1.5), ("lr_decay_epochs", 3), ("lr_decay_epochs", ("2",))],
+        ids=["epochs", "batch_size", "seed", "lr_decay_epochs_int", "lr_decay_epochs_str"],
+    )
+    def test_schedule(self, key, bad):
+        with pytest.raises(s.RecipeError, match=key) as exc:
+            s.Schedule(**{"epochs": 1, "lr": 0.1, key: bad})
+        assert exc.value.code == "recipe"
+
+    def test_numpy_integers_accepted(self, net, blobs):
+        sched = s.Schedule(
+            epochs=np.int64(2), lr=0.05, batch_size=np.int32(16), seed=np.uint8(3), lr_decay_epochs=(np.int64(1),)
+        )
+        plain = s.Schedule(epochs=2, lr=0.05, batch_size=16, seed=3, lr_decay_epochs=(1,))
+        (a, _), (b, _) = (s.train(net, blobs, sch) for sch in (sched, plain))
+        for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert wa.tobytes() == wb.tobytes()
 
 
 NON_FINITE_KEYS = ("lr", "momentum", "weight_decay", "lr_decay_factor")
