@@ -303,8 +303,13 @@ class DenseMatrix:
 
     @classmethod
     def from_values(cls, values, fmt: NumericFormat) -> "DenseMatrix":
-        """Build a matrix, rounding arbitrary values into the element format."""
-        return cls(round_array(np.ascontiguousarray(values), fmt.elem), fmt)
+        """Build a matrix, rounding arbitrary real values into the element
+        format. Values of another dtype kind (strings, objects, complex)
+        raise :class:`FormatError`; the check reads only the dtype."""
+        values = np.ascontiguousarray(values)
+        if values.dtype.kind not in "biuf":
+            raise FormatError(f"values for {fmt} must be real numbers, got dtype {values.dtype}")
+        return cls(round_array(values, fmt.elem), fmt)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,12 @@ class TinyNet:
         return outs
 
     def logits(self, x: np.ndarray) -> np.ndarray:
+        """The last layer's outputs; :class:`ShapeError` unless ``x`` is
+        (samples, inputs), as in :func:`train`. :meth:`predict` and
+        :meth:`accuracy` go through here."""
+        inputs = self.weights[0].shape[1]
+        if x.ndim != 2 or x.shape[1] != inputs:
+            raise ShapeError(f"x has shape {x.shape}, the net takes (samples, {inputs})")
         return self.forward(x)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
+import errno
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -76,6 +79,101 @@ class TestRoundtrip:
         assert np.array_equal(back["m"].bits, bits)
         assert np.array_equal(back["s"].scales, scales)
         assert back["s"].granularity is s.Granularity.PER_ROW
+
+
+class TestRewrite:
+    """write_archive rewrites an existing file in place and then cuts it to
+    length, where ``open(path, "wb")`` truncated it on open."""
+
+    def _pair(self, rng):
+        short = s.TensorArchive().add("w", random_dense(rng, 2, 2, s.FP32))
+        long = four_entry_archive(rng)
+        return short, long
+
+    @pytest.mark.parametrize("order", ["short_over_long", "long_over_short"])
+    def test_rewrite_leaves_the_bytes_of_a_fresh_path(self, tmp_path, rng, order):
+        short, long = self._pair(rng)
+        first, second = (long, short) if order == "short_over_long" else (short, long)
+        path, fresh = tmp_path / "a.s24t", tmp_path / "fresh.s24t"
+        s.write_archive(first, path)
+        s.write_archive(second, path)
+        s.write_archive(second, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_size == fresh.stat().st_size
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_new_file_mode_is_0o666_less_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            s.write_archive(s.TensorArchive(), tmp_path / "m.s24t")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "m.s24t").stat().st_mode) == 0o640
+
+    def test_devnull_is_written_without_a_cut(self, rng):
+        # a character device cannot be ftruncate'd (EINVAL), so it is not tried
+        s.write_archive(self._pair(rng)[1], os.devnull)
+
+    @pytest.mark.parametrize(
+        "where, error",
+        [(lambda d: d / "missing" / "a.s24t", FileNotFoundError), (lambda d: d, IsADirectoryError)],
+        ids=["missing_parent", "directory"],
+    )
+    def test_unopenable_path_raises_what_open_wb_raises(self, tmp_path, where, error):
+        path = where(tmp_path)
+        with pytest.raises(OSError) as before:
+            open(path, "wb")
+        with pytest.raises(OSError) as now:
+            s.write_archive(s.TensorArchive(), path)
+        assert type(now.value) is type(before.value) is error
+
+    def test_path_is_not_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        flags, real_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, f, *a, **k: flags.append(f) or real_open(path, f, *a, **k))
+        s.write_archive(s.TensorArchive(), tmp_path / "t.s24t")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        assert flags[0] & os.O_CREAT and flags[0] & os.O_WRONLY
+
+    @pytest.mark.parametrize(
+        "write_fails, cut_to_0_fails, first_error",
+        [(True, False, errno.ENOSPC), (False, False, errno.EIO), (True, True, errno.ENOSPC)],
+        ids=["write", "cut", "write_and_cut_to_0"],
+    )
+    def test_failed_write_leaves_no_old_tail(
+        self, tmp_path, rng, monkeypatch, write_fails, cut_to_0_fails, first_error
+    ):
+        # a short archive over a long one: without the cut to 0, its bytes
+        # would be followed by the long one's tail
+        short, long = self._pair(rng)
+        path = tmp_path / "a.s24t"
+        s.write_archive(long, path)
+        real_write, real_ftruncate, writes = os.write, os.ftruncate, []
+
+        def write(fd, data):  # with write_fails: half of the bytes, then the disk is full
+            writes.append(len(data))
+            if not write_fails:
+                return real_write(fd, data)
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
+
+        def ftruncate(fd, length):  # the cut to length always fails
+            if length:
+                raise OSError(errno.EIO, "cut failed")
+            if cut_to_0_fails:
+                raise OSError(errno.EROFS, "cut to 0 failed")
+            real_ftruncate(fd, 0)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "ftruncate", ftruncate)
+        with pytest.raises(OSError) as exc:
+            s.write_archive(short, path)
+        monkeypatch.undo()
+        assert exc.value.errno == first_error
+        if not cut_to_0_fails:
+            assert path.stat().st_size == 0
+            with pytest.raises(s.ArchiveError):
+                s.read_archive(path)
 
 
 def pack_bit_fields_loop(rows, bits_per_field):

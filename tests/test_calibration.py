@@ -102,10 +102,11 @@ def dead_fraction(hist):
     return float(np.mean(dead))
 
 
-def entropy_threshold_loop(hist):
-    """The clip point of entropy_kl_loop's least KL, the smallest i on a tie."""
+def entropy_threshold_loop(hist, kls):
+    """The clip point of the least KL in ``kls``, which is
+    ``entropy_kl_loop(hist)``, the smallest i on a tie."""
     best_i, best_kl = len(hist), np.inf
-    for c, kl in enumerate(entropy_kl_loop(hist)):
+    for c, kl in enumerate(kls):
         if kl < best_kl:
             best_kl, best_i = kl, QUANT_BINS + c
     return best_i
@@ -328,25 +329,31 @@ class TestEntropyCalibration:
             assert finite[got] <= min(finite.values()) + 1e-9
 
 
+@pytest.fixture(scope="module")
+def oracle_kl_rows():
+    """(family, histogram, entropy_kl_loop row) for each oracle histogram: the
+    slow loop runs once for both loop comparisons."""
+    return [(family, hist, entropy_kl_loop(hist)) for family, hist in oracle_histograms()]
+
+
 class TestEntropyMatchesLoop:
-    def test_same_threshold_as_per_candidate_loop(self):
-        cases = oracle_histograms()
-        assert len(cases) >= 200
-        wanted = [entropy_threshold_loop(hist) for _, hist in cases]
-        got = [entropy_threshold(hist) for _, hist in cases]
+    def test_same_threshold_as_per_candidate_loop(self, oracle_kl_rows):
+        assert len(oracle_kl_rows) >= 200
+        wanted = [entropy_threshold_loop(hist, kls) for _, hist, kls in oracle_kl_rows]
+        got = [entropy_threshold(hist) for _, hist, _ in oracle_kl_rows]
         assert got == wanted
         # A term gathered from the wrong chunk shows in the answer only where
         # the minimum lies past the first candidate, so the set needs
         # half-Gaussians whose answer is there.
-        assert any(f == "half_gaussian" and w != QUANT_BINS for (f, _), w in zip(cases, wanted))
+        assert any(f == "half_gaussian" and w != QUANT_BINS for (f, _, _), w in zip(oracle_kl_rows, wanted))
 
-    def test_every_kl_value_is_the_loops(self):
+    def test_every_kl_value_is_the_loops(self, oracle_kl_rows):
         # The answers above pin the KL curve only near its minimum; this pins
         # every candidate, so a reordered sum cannot pass.
-        for _, hist in oracle_histograms():
+        for _, hist, kls in oracle_kl_rows:
             if len(hist) >= QUANT_BINS:
                 got = next(calibration._entropy_kl(np.asarray(hist, dtype=np.float64)[None]))
-                assert got.tobytes() == entropy_kl_loop(hist).tobytes()
+                assert got.tobytes() == kls.tobytes()
 
     def test_oracle_set_holds_both_regimes_of_the_live_gather(self):
         # The loop comparisons above cover a nearly empty live set and a full

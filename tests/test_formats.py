@@ -93,6 +93,18 @@ class TestRounding:
         assert got.tolist() == [[1, 3, -1]]
         assert np.array_equal(got, round_array(np.array(vals), ElemType.INT8))
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([["1.0", "2.0"]]), np.array([[1.0, None]], dtype=object), np.array([[1 + 2j, 3.0]])],
+        ids=["str", "object", "complex"],
+    )
+    @pytest.mark.parametrize("fmt", s.ALL_FORMATS, ids=str)
+    def test_from_values_rejects_values_that_are_not_real_numbers(self, values, fmt):
+        # numpy's cast would drop the imaginary part, with only a ComplexWarning
+        with pytest.raises(s.FormatError, match="real numbers") as exc:
+            s.DenseMatrix.from_values(values, fmt)
+        assert exc.value.code == "format"
+
 
 SPECIAL_WORDS = [0, 0x80000000, 1, 0x807FFFFF, 0x00800000, 0x7F7FFFFF, 0x7F800000, 0xFF800000]
 NAN_WORDS = [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7F802000]

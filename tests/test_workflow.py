@@ -184,6 +184,16 @@ class TestDatasetFit:
         with pytest.raises(s.ShapeError, match="at least one sample"):
             s.run_recipe(s.parse_recipe(RECIPE_BASIC), net, data)
 
+    @pytest.mark.parametrize("shape", [(5, 7), (5, 9), (8,), (5, 8, 1)], ids=["narrow", "wide", "1d", "3d"])
+    def test_batch_of_the_wrong_width_rejected(self, shape):
+        # unchecked, np.dot raises a bare ValueError, and a 1-D batch gives 1-D logits
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        x = np.zeros(shape)
+        for call in (net.logits, net.predict, lambda x: net.accuracy(x, np.zeros(len(x), dtype=np.int64))):
+            with pytest.raises(s.ShapeError, match="the net takes") as exc:
+                call(x)
+            assert exc.value.code == "shape"
+
 
 def reference_loss_and_grads(net, x, y):
     """Plain forward and backward pass of its own: the oracle for
