@@ -35,7 +35,8 @@ class CalibMethodError(ValueError):
 
 
 class HistogramError(ValueError):
-    """A histogram with a negative count."""
+    """A histogram with a negative count, too many bins, or counts whose
+    KL terms underflow float64; see :func:`entropy_threshold`."""
 
     code = "histogram"
 
@@ -92,6 +93,7 @@ class CalibMethod:
 
 HIST_BINS = 2048
 QUANT_BINS = 128  # positive INT8 levels used when merging candidate clips
+MAX_HIST_BINS = 4 * HIST_BINS  # the most bins entropy_threshold takes: its table grows with nbins**2
 _ROW_BLOCK = 4  # slices histogrammed per entropy_threshold call, so histograms do not grow with slices
 
 
@@ -155,11 +157,22 @@ def entropy_threshold(hist: np.ndarray) -> int | np.ndarray:
     histogram per row, giving each row the clip point it gets on its own.
     Raises :class:`ShapeError` for any other shape, :class:`NonFiniteError`
     for a NaN or ±inf count and :class:`HistogramError` (code
-    ``histogram``) for a negative one or for a histogram whose counts total
-    more than 2**1000 (about 1.07e301). Up to that every float64 sum the KL
-    takes stays finite: it weighs logs between log(5e-324 / nbins) (the
-    least mass spread over every bin) and log(2**1000) = 693 by counts that
-    total at most 2**1000.
+    ``histogram``) for a negative one, for a histogram whose counts total
+    more than 2**1000 (about 1.07e301), and for one of more than
+    ``MAX_HIST_BINS`` = 8 192 bins, before any table is built: the table
+    and ``mass`` are each ceil(nbins / 128) x nbins float64 (4 MiB apiece
+    at the bound, and the plan 3.9 MiB of int32). Up to 2**1000 every
+    float64 sum the KL takes stays finite: it weighs logs of at most
+    log(2**1000) = 693 by counts that total at most 2**1000.
+
+    Counts spanning float64's range can underflow a ratio whose log the KL
+    takes, and log(0) would score a candidate -inf (so it wins) or +inf
+    where its KL is finite. So :class:`HistogramError` is also raised, when
+    that row is scored, exactly when a live candidate's unclipped mass over
+    its total, or one of its chunks' unclipped mass over the chunk's count
+    of nonzero bins of P, is 0 in float64. ``np.r_[np.full(2047, 5e-324),
+    1e10]`` raises so; with 1e-300 bins the same shape gives 2048. Integer
+    counts never do: each nonzero count is at least 1.
 
     For each candidate i in [QUANT_BINS, nbins], P is hist[:i] with the
     clipped tail folded into its last bin, and Q merges the unclipped
@@ -199,6 +212,8 @@ def entropy_threshold(hist: np.ndarray) -> int | np.ndarray:
     with np.errstate(over="ignore"):  # a total past the float64 range is inf, and rejected here
         if (np.add.reduce(rows, axis=1) > 2.0**1000).any():
             raise HistogramError("histogram counts must total at most 2**1000 (about 1.07e301)")
+    if rows.shape[1] > MAX_HIST_BINS:
+        raise HistogramError(f"a histogram has at most {MAX_HIST_BINS} bins, got {rows.shape[1]}")
     best = np.full(len(rows), rows.shape[1])
     if rows.shape[1] >= QUANT_BINS:
         for r, kl in enumerate(_entropy_kl(rows)):
@@ -222,6 +237,11 @@ def _entropy_kl(rows: np.ndarray) -> Iterator[np.ndarray]:
     where Q is 0 and P is not; one row at a time in the same scratch. Those
     +inf candidates are found from T, the tail and the last chunk's mass
     before the gather, which reads and sums the terms of the others only.
+    A row where a live candidate's log would take an underflowed ratio
+    raises :class:`HistogramError` (see :func:`entropy_threshold`). Its
+    unclipped mass over T is tested before the gather. An underflowed chunk
+    term is -inf, and no term is +inf, so it shows after the gather as a
+    candidate's sum of -inf.
     Each row's table comes from two window views of its padded prefix sums,
     built by ``as_strided`` (a few µs less per view than
     ``sliding_window_view``, which gives the same windows)."""
@@ -255,6 +275,9 @@ def _entropy_kl(rows: np.ndarray) -> Iterator[np.ndarray]:
         T = cum[QUANT_BINS - 1 : nbins] + last
         # a dead candidate stays +inf and is never gathered: no mass, or a clipped tail in a last chunk Q leaves at 0
         live = np.flatnonzero(~((T == 0) | ((last_mass == 0) & (tail > 0))))
+        kept = unclipped[live] / T[live]
+        if not kept.all():
+            raise HistogramError("a clip candidate's unclipped mass over its total underflows float64")
         gains_bin = (last > 0) & (before == 0)  # the tail makes bin i - 1 a nonzero bin of P
         last_terms[:] = cum_nz[QUANT_BINS : nbins + 1] - cum_nz[start] + gains_bin
         _merged(last_mass + tail, last_mass, last_terms)
@@ -264,11 +287,13 @@ def _entropy_kl(rows: np.ndarray) -> Iterator[np.ndarray]:
             # the plan is in range; mode="raise" would buffer the output
             np.take(table, idx[:n], out=block[:n], mode="clip")
             block[:n].sum(axis=-1, out=sums[lo : lo + n])
+        if (sums[: len(live)] == -np.inf).any():
+            raise HistogramError("a clip candidate's chunk mass over its nonzero bins underflows float64")
         with np.errstate(divide="ignore", invalid="ignore"):
             cum_plogp = _prefix_sums(np.where(hist > 0, hist * np.log(hist), 0.0))
             sum_plogp = cum_plogp[QUANT_BINS - 1 : nbins] + np.where(last > 0, last * np.log(last), 0.0)
             kl = np.full(len(i), np.inf)
-            kl[live] = (sum_plogp[live] - sums[: len(live)]) / T[live] + np.log(unclipped[live] / T[live])
+            kl[live] = (sum_plogp[live] - sums[: len(live)]) / T[live] + np.log(kept)
         yield kl
 
 
@@ -292,10 +317,12 @@ def _gather_plan(nbins: int) -> np.ndarray:
 
 def _merged(p: np.ndarray, s: np.ndarray, nz: np.ndarray) -> None:
     """Chunk term P*log(S/nnz) of KL(P||Q), written over nz: P and S are the
-    chunk's mass with and without the clipped tail. 0 where S is 0."""
+    chunk's mass with and without the clipped tail. 0 where S is 0, and
+    -inf where S / nnz underflows to 0."""
     np.maximum(nz, 1, out=nz)
     np.divide(s, nz, out=nz)
-    np.log(nz, out=nz, where=s > 0)  # S = 0 keeps 0 / nnz = 0
+    with np.errstate(divide="ignore"):  # an underflowed S / nnz; _entropy_kl rejects a live candidate's
+        np.log(nz, out=nz, where=s > 0)  # S = 0 keeps 0 / nnz = 0
     nz *= p
 
 

@@ -5,7 +5,21 @@ explicit rounding so results are reproducible across platforms. FP32-accumulate
 modes round products only (FP16/BF16/TF32 products are exact in float32);
 FP16-accumulate mode rounds every product and every accumulation step; INT32
 accumulates in int32, wrapping modulo 2**32. Accumulation order is fixed
-(ascending k) so float results are bit-stable.
+(ascending k) so float results are bit-stable. Every accumulator has the
+operands' in-memory dtype: float32, or int32 for INT8.
+
+FP16 rounding has one rule, :func:`_round_fp16`, and no numpy float16
+arithmetic runs here. FP16-accumulate mode keeps fp16 values in a float32
+accumulator: each step adds in float32 and rounds the sum with that rule.
+That is the correctly rounded fp16 sum, as double rounding through float32
+is innocuous for addition when 24 >= 2*11 + 2 (S. A. Figueroa, "When is
+double rounding innocuous?", ACM SIGNUM Newsletter 30(3), 1995), and it is
+numpy's float16 add, which is a float32 add and then the same rounding. The
+step adds the product first, and only where the product is a number: a NaN
+product is the sum. numpy's float16 add of two NaNs gives the second
+operand's, the product's; its float32 add gives either one, by the lane of
+its loop (on x86-64, the first in full vector lanes and the second in a
+scalar tail), so the NaN is not left to it.
 """
 
 from __future__ import annotations
@@ -95,12 +109,6 @@ STORAGE_DTYPE = {
     ElemType.FP16: np.dtype("<f2"),
     ElemType.BF16: np.dtype("<u2"),
     ElemType.INT8: np.dtype("<i1"),
-}
-
-ACC_DTYPE = {  # each mode's accumulator: every product is added in this dtype
-    AccType.FP32: np.dtype(np.float32),
-    AccType.FP16: np.dtype(np.float16),
-    AccType.INT32: np.dtype(np.int32),
 }
 
 FP32 = NumericFormat(ElemType.FP32, AccType.FP32)
@@ -205,21 +213,25 @@ def _fp16_nan(bits: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _round_fp16(x: np.ndarray) -> np.ndarray:
-    """Float32 ``x`` rounded to fp16, in a new float32 array; see :func:`round_array`."""
+def _round_fp16(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Float32 ``x`` rounded to fp16, in ``out`` or a new float32 array; see
+    :func:`round_array`. ``out`` must be a float32 array of x's shape that is
+    not ``x``: the rounding reads x's words after it writes out's."""
     bits = x.view(np.uint32)
-    out = np.abs(x, out=np.empty(x.shape, dtype=np.float32))
+    out = np.abs(x, out=np.empty(x.shape, dtype=np.float32) if out is None else out)
     rare = not out.max(initial=0) <= 65504  # ±inf, NaN or a magnitude that may round past 65 504
     words = out.view(np.uint32)
-    words -= 1  # |x|'s words less 1: 0 wraps to the top, so the test below passes over zeros
-    subnormal = np.flatnonzero(words < 0x387FFFFF)  # nonzero magnitudes below 2**-14
+    words -= 1  # |x|'s words less 1: 0 wraps to the top, so the tests below pass over zeros
+    # nonzero magnitudes below 2**-14, indexed only if the least one is: a min costs less than an index
+    tiny = words.min(initial=0xFFFFFFFF) < 0x387FFFFF
+    subnormal = np.flatnonzero(words < 0x387FFFFF) if tiny else ()
     # round to nearest even at fp16's 10 fraction bits, in place on the result's words
     np.right_shift(bits, 13, out=words)
     words &= 1
     words += bits
     words += 0x0FFF
     words &= 0xFFFFE000
-    if subnormal.size:  # fp16's fixed quantum 2**-24 is float32's at 0.5
+    if len(subnormal):  # fp16's fixed quantum 2**-24 is float32's at 0.5
         small = np.take(x, subnormal)
         rounded = np.abs(small)
         rounded += 0.5
@@ -446,17 +458,22 @@ def _accumulate(
     The mode is ``fmt``, A's format; B must share it. Step j gathers, for
     every output row r, row ``rows_t[j, r]`` of B, multiplies it by
     ``vals_t[j, r]`` and adds the product into the M x N accumulator, so each
-    output element sums its products in ascending j. FP16-accumulate mode
-    rounds every product to fp16 before adding it; INT8/INT32 mode multiplies
-    and adds in int32, wrapping modulo 2**32 like an exact sum wrapped once.
+    output element sums its products in ascending j. The accumulator has B's
+    dtype. FP16-accumulate mode rounds every product and every sum to fp16
+    by :func:`_round_fp16`, as the module docstring states; INT8/INT32 mode
+    multiplies and adds in int32, wrapping modulo 2**32 like an exact sum
+    wrapped once.
     A zero value still multiplies its row, so 0 * inf in B gives NaN.
     Overflow and NaN results come back without a numpy warning.
 
     The products are formed a chunk of steps at a time: one ``take`` gathers
     the chunk's rows of B into a (c, M, N) buffer, one ``multiply`` scales
-    it, and in FP16-accumulate mode one ``copyto`` rounds it to fp16. The
-    adds stay one step at a time in ascending j, so the chunking changes no
-    result bit. c is the most steps whose gathered rows fit in
+    it, and in FP16-accumulate mode one :func:`_round_fp16` call rounds it
+    into a second float32 buffer. The adds stay one step at a time in
+    ascending j, so the chunking changes no result bit. An FP16-accumulate
+    step adds the product row and the accumulator in place on the product
+    row, product first, where the product is not NaN, then rounds the sum
+    into the accumulator. c is the most steps whose gathered rows fit in
     ``_CHUNK_BYTES``, and at least 1. Every index in ``rows_t`` must lie in
     [0, B.rows): the gather clips rather than checks, which spares numpy a
     buffered copy. A ``counter`` is given c * M * N for each chunk of c steps
@@ -465,20 +482,24 @@ def _accumulate(
     if b.fmt != fmt:
         raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
     steps, (rows, cols) = len(vals_t), (rows_t.shape[1], b.cols)
-    out = np.zeros((rows, cols), dtype=ACC_DTYPE[fmt.acc])
+    out = np.zeros((rows, cols), dtype=b.data.dtype)
     chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * b.data.itemsize)))
     buf = np.empty((chunk, rows, cols), dtype=b.data.dtype)
-    prod = buf if out.dtype == buf.dtype else np.empty_like(buf, dtype=out.dtype)
+    prod = np.empty_like(buf) if fmt.acc is AccType.FP16 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, steps, chunk):
             c = min(chunk, steps - j)
             if counter is not None:
                 counter.add(c * rows * cols)
-            gathered, products = buf[:c], prod[:c]
+            gathered = buf[:c]
             np.take(b.data, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
             np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)
-            if prod is not buf:
-                np.copyto(products, gathered, casting="same_kind")
-            for p in products:
-                np.add(out, p, out=out)
-    return DenseMatrix(out.astype(b.data.dtype, copy=False), fmt)  # fp16 widens to float32
+            if prod is None:
+                for p in gathered:
+                    np.add(out, p, out=out)
+            else:
+                products = _round_fp16(gathered, out=prod[:c])
+                for p, number in zip(products, products == products):
+                    np.add(p, out, out=p, where=number)  # a NaN product stays as the sum
+                    _round_fp16(p, out=out)
+    return DenseMatrix(out, fmt)

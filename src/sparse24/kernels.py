@@ -50,9 +50,13 @@ def spmm(a: SparseNM, b: DenseMatrix, *, counter: MultiplyAddCounter | None = No
     raise :class:`FormatError`, and metadata that :meth:`SparseNM.validate`
     rejects raises :class:`MetadataError`. Step j of one pass over the kept
     slots gathers, for every output row, the row of B that the row's j-th
-    kept value selects, multiplies it by that value and adds the product
-    (rounded to fp16 first in FP16-accumulate mode) into the M x N
-    accumulator, which in INT8 mode is int32 and wraps modulo 2**32. The
+    kept value selects, multiplies it by that value and adds the product into
+    the M x N accumulator, which in INT8 mode is int32 and wraps modulo
+    2**32. In FP16-accumulate mode the accumulator is float32 holding fp16
+    values: the product is rounded to fp16 by ``formats._round_fp16``, added
+    in float32 (product first; a NaN product is the sum), and the sum is
+    rounded again by the same rule, which gives the correctly rounded fp16
+    sum (Figueroa, ACM SIGNUM Newsletter 30(3), 1995: 24 >= 2*11 + 2). The
     gathers and multiplies run a chunk of slots per numpy call, but the adds
     stay one slot at a time, so each output element sums its products in
     ascending original-column order. For finite operands the result is

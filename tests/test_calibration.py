@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sparse24 as s
 from sparse24 import calibration
-from sparse24.calibration import HIST_BINS, QUANT_BINS, entropy_threshold
+from sparse24.calibration import HIST_BINS, MAX_HIST_BINS, QUANT_BINS, entropy_threshold
 from conftest import random_conforming, random_dense
 
 
@@ -432,6 +432,86 @@ class TestEntropyRejectsMalformed:
         assert entropy_threshold(laplace * 2.0**992) == entropy_threshold(laplace) == 1664
         with pytest.raises(s.HistogramError):
             entropy_threshold(laplace * 2.0**993)
+
+
+    def test_unclipped_mass_that_underflows_its_total(self):
+        # unclipped / T is 0 for every candidate below 2048, so 1 920 of the
+        # 1 921 KLs would be -inf and the answer 128
+        with pytest.raises(s.HistogramError, match="unclipped mass") as exc:
+            entropy_threshold(np.r_[np.full(2047, 5e-324), 1e10])
+        assert exc.value.code == "histogram"
+        assert entropy_threshold(np.r_[np.full(2047, 1e-300), 1e10]) == 2048
+
+    def test_chunk_mass_that_underflows_its_bin_count(self):
+        # candidate 258's last chunk is bins 256-257: it holds the least
+        # subnormal, and the clipped tail makes bin 257 a nonzero bin of P, so
+        # S / nnz = 5e-324 / 2 is 0. Its KL would be +inf, and numpy would warn
+        hist = np.zeros(300)
+        hist[256], hist[299] = 5e-324, 1.0
+        with pytest.raises(s.HistogramError, match="chunk mass"):
+            entropy_threshold(hist)
+        hist[256] = 1e-323  # S / nnz is then the least subnormal
+        assert entropy_threshold(hist) == entropy_threshold_loop(hist, entropy_kl_loop(hist))
+
+    def test_bins_up_to_the_bound(self):
+        x = np.abs(np.random.default_rng(8192).standard_normal(50_000))
+        hist = np.histogram(x, bins=MAX_HIST_BINS, range=(0.0, x.max()))[0]
+        got = entropy_threshold(hist)
+        assert QUANT_BINS < got < MAX_HIST_BINS
+        assert got == entropy_threshold_loop(hist, entropy_kl_loop(hist))
+
+    @pytest.mark.parametrize("nbins", [MAX_HIST_BINS + 1, 2**20])
+    def test_more_bins_rejected_before_any_table(self, nbins):
+        # the table and mass would be ceil(nbins / 128) * nbins float64 each:
+        # 4.3 MB past the bound, 64 GiB at 2**20 bins
+        hist = np.ones(nbins)
+        table = -(-nbins // QUANT_BINS) * nbins * 8
+        calibration._gather_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(s.HistogramError, match=f"at most {MAX_HIST_BINS} bins") as exc:
+                entropy_threshold(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "histogram"
+        assert peak <= hist.nbytes // 2 < table // 8  # a bool temporary of the input's length, no table
+        assert calibration._gather_plan.cache_info().currsize == 0
+
+
+def spanning_histogram(rng):
+    """Fractional counts spanning float64's range: 10**e for e near lo or
+    near hi, with lo and hi anywhere in it, or lo subnormal and hi large
+    (totals stay below 2**1000); in half the draws rising with the bin, so
+    the first candidates' unclipped mass can be far below the total; some
+    counts 0 and some the least subnormal."""
+    n = int(rng.integers(QUANT_BINS, 401))
+    if rng.random() < 0.5:
+        lo = rng.uniform(-323.3, 297.0)
+        hi = rng.uniform(lo, 297.0)
+    else:
+        lo, hi = rng.uniform(-323.3, -250.0), rng.uniform(0.0, 297.0)
+    jitter = rng.uniform(0, 10) * rng.random(n)
+    exponents = np.clip(np.where(rng.random(n) < rng.random(), hi - jitter, lo + jitter), lo, hi)
+    if rng.random() < 0.5:
+        exponents.sort()
+    hist = np.where(rng.random(n) < rng.random() / 2, 0.0, 10.0**exponents)
+    hist[rng.random(n) < rng.random() / 10] = 5e-324
+    return hist
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_accepted_histograms_have_no_negative_infinite_or_nan_kl(seed):
+    # Hypothesis draws the seed only: its own floats cluster at a few values
+    # here. About 1 in 7 of these histograms is rejected.
+    hist = spanning_histogram(np.random.default_rng(seed))
+    try:
+        entropy_threshold(hist)
+    except s.HistogramError:
+        return
+    kl = next(calibration._entropy_kl(hist[None]))
+    assert not (kl == -np.inf).any() and not np.isnan(kl).any()
 
 
 class TestScaleSet:

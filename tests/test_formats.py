@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sparse24 as s
 from conftest import random_dense
 from sparse24.cli import EntryError
-from sparse24.formats import STORAGE_DTYPE, ElemType, _from_storage, _to_storage, round_array
+from sparse24.formats import STORAGE_DTYPE, ElemType, _from_storage, _round_fp16, _to_storage, round_array
 
 
 def bf16_oracle(x: float) -> float:
@@ -158,6 +158,11 @@ def assert_fp16_range_rounds_as_numpy_casts(start: int, stop: int) -> None:
         assert_fp16_rounds_as_numpy_casts(np.arange(low, min(stop, low + FP16_CHUNK), dtype=np.uint32))
 
 
+# every fp16 word and its value as float32, by the integer rules the tests below pin to numpy's casts
+FP16_WORDS = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+FP16_VALUES = _from_storage(FP16_WORDS.view(STORAGE_DTYPE[ElemType.FP16]), ElemType.FP16)
+
+
 class TestFP16BitRules:
     """FP16 rounding and storage words follow integer rules; numpy's casts are the oracle."""
 
@@ -236,11 +241,81 @@ class TestFP16BitRules:
         # a direct float64 rounding would give 1 + 2^-10
         assert round_array(np.array([1 + 2.0**-11 + 2.0**-40]), ElemType.FP16)[0] == 1.0
 
+    @pytest.mark.parametrize("exponent", [0x66, 0x70, 0x71, 0x8E, 0xFF], ids=["2^-25", "2^-15", "2^-14", "2^15", "inf-nan"])
+    def test_out_form_equals_a_new_array(self, exponent):
+        # the boundary slices above, both signs, then all 65 536 fp16 values
+        words = np.arange(exponent << 23, (exponent + 1) << 23, dtype=np.uint32)
+        for x in (words.view(np.float32), (words | np.uint32(1 << 31)).view(np.float32), FP16_VALUES):
+            before = x.tobytes()
+            buf = np.full(x.shape, np.nan, dtype=np.float32)
+            assert _round_fp16(x, out=buf) is buf
+            assert buf.tobytes() == _round_fp16(x).tobytes()
+            assert x.tobytes() == before
+
+
+def assert_fp16_step_adds_as_numpy(acc_words: np.ndarray, product_words: np.ndarray) -> None:
+    """The FP16-accumulate step of ``formats._accumulate`` on every
+    (accumulator, product) pair of the given fp16 words equals numpy's
+    float16 add of the accumulator and the product, the old accumulator's
+    add, word for word. The step adds in float32, product first and in
+    place on the product, where the product is a number (a NaN product
+    stays as the sum), then rounds the sum by ``_round_fp16``. A product
+    there is the output of ``np.multiply``, so never a signaling NaN: here
+    each product is multiplied by 1 first, which quiets those words only."""
+    values = lambda w: _from_storage(w.view(STORAGE_DTYPE[ElemType.FP16]), ElemType.FP16)
+    acc, prod = np.repeat(acc_words, len(product_words)), np.tile(product_words, len(acc_words))
+    with np.errstate(over="ignore", invalid="ignore"):  # 65504 + 65504, inf - inf
+        want = np.add(acc.view(np.float16), prod.view(np.float16)).view(np.uint16)
+        step = values(prod) * np.float32(1)
+        np.add(step, values(acc), out=step, where=step == step)
+        got = _to_storage(_round_fp16(step, out=np.empty_like(step)), ElemType.FP16).view(np.uint16)
+    bad = np.flatnonzero(got != want)
+    assert not bad.size, [f"{a:#06x} + {p:#06x} -> {g:#06x}, not {w:#06x}" for a, p, g, w in zip(
+        acc[bad[:4]], prod[bad[:4]], got[bad[:4]], want[bad[:4]])]
+
+
+# ±0, ±inf, quiet and signaling NaNs of both signs, 2**-14 and its neighbours
+# (the subnormal edge) of both signs, ±65 504, then a few random words
+FP16_STEP_SPECIALS = np.r_[
+    np.array([0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFC01, 0x7FFF, 0xFFFF, 0x7D55, 0xFEAA,
+              0x0400, 0x03FF, 0x0401, 0x8400, 0x83FF, 0x8401, 0x7BFF, 0xFBFF], dtype=np.uint16),
+    np.random.default_rng(32).integers(0, 1 << 16, size=8, dtype=np.uint16),
+]
+
+
+def test_fp16_step_on_special_accumulators_and_products():
+    # the slice of the exhaustive sweep below: every product against each
+    # special accumulator, and every accumulator against each special product
+    assert_fp16_step_adds_as_numpy(FP16_STEP_SPECIALS, FP16_WORDS)
+    assert_fp16_step_adds_as_numpy(FP16_WORDS, FP16_STEP_SPECIALS)
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 31, 33, 129])
+def test_fp16_step_takes_the_products_nan_at_every_lane(length):
+    # numpy's float16 add of two NaNs gives the second operand's, the
+    # product's, at every length. Its float32 add gives either one, by the
+    # lane of its loop (on x86-64, the first in full vector lanes, the second
+    # in a scalar tail), so the step does not add a NaN product
+    acc, prod = np.full(length, 0x7E01, dtype=np.uint16), np.full(length, 0xFE02, dtype=np.uint16)
+    with np.errstate(invalid="ignore"):
+        assert (np.add(acc.view(np.float16), prod.view(np.float16)).view(np.uint16) == 0xFE02).all()
+    for a, p in [(acc, prod), (prod, acc)]:
+        assert_fp16_step_adds_as_numpy(a[:1], np.tile(p[:1], length))
+        assert_fp16_step_adds_as_numpy(np.tile(a[:1], length), p[:1])
+
 
 @pytest.mark.exhaustive
 def test_fp16_rounding_of_every_float32_pattern():
     """All 2^32 patterns (minutes): run with ``pytest -m exhaustive``."""
     assert_fp16_range_rounds_as_numpy_casts(0, 1 << 32)
+
+
+@pytest.mark.exhaustive
+def test_fp16_step_on_every_pair():
+    """All 2^32 (accumulator, product) pairs of fp16 words, 16 accumulators
+    at a time (about two minutes): run with ``pytest -m exhaustive``."""
+    for lo in range(0, 1 << 16, 16):
+        assert_fp16_step_adds_as_numpy(FP16_WORDS[lo : lo + 16], FP16_WORDS)
 
 
 def test_dense_matrix_needs_2d_data():

@@ -160,6 +160,61 @@ class TestChunkedAccumulateMatchesPerStepLoop:
                 assert s.gemm_dense(a, b).data.tobytes() == gemm_dense_oracle(a, b).tobytes()
 
 
+# fp16 ±inf and NaNs of both signs, quiet and signaling, as float32 values
+FP16_SPECIALS = formats._from_storage(
+    np.array([0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFD55, 0x7FFF, 0xFFFF], dtype=np.uint16).view(np.float16),
+    s.ElemType.FP16,
+)
+
+
+def fp16_values(rng, shape, scale, specials):
+    """fp16 values of standard normals times ``scale``; with ``specials``,
+    about 1 % of them (at least 2) are ±inf and NaNs of both signs."""
+    vals = s.DenseMatrix.from_values(rng.standard_normal(shape) * scale, s.FP16_FP16).data.copy()
+    if specials and vals.size:
+        at = rng.choice(vals.size, size=min(vals.size, max(2, vals.size // 100)), replace=False)
+        vals.flat[at] = rng.choice(FP16_SPECIALS, size=len(at))
+    return vals
+
+
+class TestFP16AccumulateMatchesFloat16Loop:
+    """FP16-accumulate mode keeps a float32 accumulator of fp16 values and
+    rounds each step by ``_round_fp16``; the oracle is the loop it replaced,
+    a float16 accumulator with numpy's cast and half-precision add. Both
+    GEMMs must match it byte for byte, NaN payloads and signs included."""
+
+    SCALES = [(1, 1), (1e-3, 1e-3), (1e-6, 1), (300, 300), (2000, 1)]  # A's and B's
+
+    @pytest.mark.parametrize("specials", [False, True], ids=["finite", "inf_nan"])
+    @pytest.mark.parametrize("scale_a, scale_b", SCALES, ids=["unit", "subnormal_products", "subnormal_a", "overflow", "overflow_sums"])
+    def test_spmm_and_gemm_dense(self, rng, scale_a, scale_b, specials):
+        fmt = s.FP16_FP16
+        # one chunk, 3-step chunks and one-step chunks; outputs of at most 128
+        # elements; outputs of M * N % 16 != 0, so numpy's float32 loops run
+        # their scalar tail as well as full vector lanes
+        shapes = chunk_shapes(fmt) + [(1, 1, 16), (3, 5, 16), (4, 32, 48), (8, 16, 64), (3, 7, 32), (5, 37, 64)]
+        seen = []
+        for m, n, k in shapes:
+            _, sp, _ = make_case(rng, m, n, k, fmt)
+            sp = s.SparseNM(k, s.PATTERN_24, fp16_values(rng, sp.values.shape, scale_a, specials), sp.meta, fmt)
+            a = s.DenseMatrix(fp16_values(rng, (m, k), scale_a, specials), fmt)
+            b = s.DenseMatrix(fp16_values(rng, (k, n), scale_b, specials), fmt)
+            for got, oracle in [(s.spmm, spmm_oracle), (s.gemm_dense, gemm_dense_oracle)]:
+                op = a if got is s.gemm_dense else sp
+                with np.errstate(over="ignore", invalid="ignore"):  # the float16 loop warns
+                    expect = oracle(op, b)
+                assert got(op, b).data.tobytes() == expect.tobytes(), (got.__name__, m, n, k)
+                seen.append(expect)
+        seen = np.concatenate([e.ravel() for e in seen])
+        if specials:
+            nan = seen[np.isnan(seen)]
+            assert np.signbit(nan).any() and not np.signbit(nan).all()
+        if scale_a * scale_b >= 300:
+            assert np.isinf(seen).any()
+        if scale_a * scale_b <= 1e-6:
+            assert ((seen != 0) & (np.abs(seen) < 2.0**-14)).any()
+
+
 class TestSpmm:
     def test_selector_rows_pick_rows_of_b(self, rng):
         # each group keeps two 1.0 selectors; output = sum of the selected B rows
