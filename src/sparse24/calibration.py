@@ -35,8 +35,9 @@ class CalibMethodError(ValueError):
 
 
 class HistogramError(ValueError):
-    """A histogram with a negative count, too many bins, or counts whose
-    KL terms underflow float64; see :func:`entropy_threshold`."""
+    """A histogram with counts that are not an array of real numbers, a
+    negative count, too many bins, or counts whose KL terms underflow
+    float64; see :func:`entropy_threshold`."""
 
     code = "histogram"
 
@@ -52,7 +53,10 @@ class ScaleSet:
     scales: np.ndarray  # finite positive float64, length 1 (per tensor) or rows
 
     def __post_init__(self):
-        s = np.array(self.scales, dtype=np.float64)  # a copy, frozen below: the caller's array stays writable
+        try:
+            s = np.array(self.scales, dtype=np.float64)  # a copy, frozen below: the caller's array stays writable
+        except (TypeError, ValueError) as exc:  # strings, objects or ragged lists
+            raise ScaleError(f"scales must be real numbers: {exc}") from exc
         if s.ndim != 1 or not np.all((s > 0) & (s < np.inf)):
             raise ScaleError("scales must be a 1-D array of finite positive values")
         if self.granularity is Granularity.PER_TENSOR and len(s) != 1:
@@ -157,8 +161,9 @@ def entropy_threshold(hist: np.ndarray) -> int | np.ndarray:
     histogram per row, giving each row the clip point it gets on its own.
     Raises :class:`ShapeError` for any other shape, :class:`NonFiniteError`
     for a NaN or ±inf count and :class:`HistogramError` (code
-    ``histogram``) for a negative one, for a histogram whose counts total
-    more than 2**1000 (about 1.07e301), and for one of more than
+    ``histogram``) for counts that do not form an array of real numbers
+    (strings, a ragged list), for a negative count, for a histogram whose
+    counts total more than 2**1000 (about 1.07e301), and for one of more than
     ``MAX_HIST_BINS`` = 8 192 bins, before any table is built: the table
     and ``mass`` are each ceil(nbins / 128) x nbins float64 (4 MiB apiece
     at the bound, and the plan 3.9 MiB of int32). Up to 2**1000 every
@@ -202,7 +207,10 @@ def entropy_threshold(hist: np.ndarray) -> int | np.ndarray:
     be the answer. In the 2:4-pruned rows of a small layer, 93-97 % of the
     candidates are dead.
     """
-    hist = np.asarray(hist, dtype=np.float64, order="C")
+    try:
+        hist = np.asarray(hist, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:  # strings, objects or ragged lists
+        raise HistogramError(f"histogram counts must be an array of real numbers: {exc}") from exc
     if hist.ndim not in (1, 2):
         raise ShapeError(f"a histogram or a 2-D array of them has 1 or 2 dimensions, not {hist.ndim}")
     require_finite(hist, "histogram counts")

@@ -111,17 +111,15 @@ class SparseNM:
             if not np.all(grouped[..., :-1] < grouped[..., 1:]):
                 raise MetadataError("metadata indices not strictly increasing within group")
 
-    def group_starts(self) -> np.ndarray:
-        """Original column of the group each kept column belongs to, shape (C*n/m,)."""
-        p = self.pattern
-        return np.repeat(np.arange(self.groups_per_row) * p.m, p.n)
-
     def column_indices(self) -> np.ndarray:
-        """Original column index of every kept value, shape (R, C*n/m), in ``intp``.
+        """Original column index of every kept value, shape (R, C*n/m), in
+        ``intp``: its group's first column plus its metadata. :func:`decompress`
+        scatters and :func:`spmm <sparse24.kernels.spmm>` gathers through it.
 
         Public, with :meth:`validate`, because the benchmark's tracer
         (``perfbench/spans.py``) binds both methods by name."""
-        return np.add(self.group_starts()[None, :], self.meta, dtype=np.intp)
+        p = self.pattern
+        return np.add(np.repeat(np.arange(self.groups_per_row) * p.m, p.n), self.meta, dtype=np.intp)
 
 
 def _group_counts(flags: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Numeric formats, dense matrix container, and reference GEMM.
 
 All low-precision formats are emulated on top of 32-bit arithmetic with
-explicit rounding so results are reproducible across platforms. FP32-accumulate
-modes round products only (FP16/BF16/TF32 products are exact in float32);
-FP16-accumulate mode rounds every product and every accumulation step; INT32
-accumulates in int32, wrapping modulo 2**32. Accumulation order is fixed
-(ascending k) so float results are bit-stable. Every accumulator has the
-operands' in-memory dtype: float32, or int32 for INT8.
+explicit rounding so results are reproducible across platforms, with the
+one exception stated last. FP32-accumulate modes round products only
+(FP16/BF16/TF32 products are exact in float32); FP16-accumulate mode rounds
+every product and every accumulation step; INT32 accumulates in int32,
+wrapping modulo 2**32. Accumulation order is fixed (ascending k) so float
+results are bit-stable. Every accumulator has the operands' in-memory
+dtype: float32, or int32 for INT8.
 
-FP16 rounding has one rule, :func:`_round_fp16`, and no numpy float16
-arithmetic runs here. FP16-accumulate mode keeps fp16 values in a float32
-accumulator: each step adds in float32 and rounds the sum with that rule.
+FP16 rounding has one rule, :func:`_round_fp16`, and numpy's float16 type
+is not used here: FP16 storage words are plain uint16 bits, as BF16's are.
+FP16-accumulate mode keeps fp16 values in a float32 accumulator: each step
+adds in float32 and rounds the sum with that rule.
 That is the correctly rounded fp16 sum, as double rounding through float32
 is innocuous for addition when 24 >= 2*11 + 2 (S. A. Figueroa, "When is
 double rounding innocuous?", ACM SIGNUM Newsletter 30(3), 1995), and it is
@@ -20,6 +22,12 @@ product is the sum. numpy's float16 add of two NaNs gives the second
 operand's, the product's; its float32 add gives either one, by the lane of
 its loop (on x86-64, the first in full vector lanes and the second in a
 scalar tail), so the NaN is not left to it.
+
+The exception: FP32-accumulate mode (FP32, TF32, FP16 and BF16 operands)
+does leave a NaN + NaN step to numpy's float32 add. Such a result is NaN on
+every host, but its payload and sign follow the lane of the add's loop, so
+they may differ between hosts of other vector widths. Every other bit of
+every result is host-independent.
 """
 
 from __future__ import annotations
@@ -102,11 +110,12 @@ _ALLOWED_PAIRS = {
     (ElemType.INT8, AccType.INT32),
 }
 
-# Little-endian storage of one element; TF32 fills an fp32 word, BF16 its upper half.
+# Little-endian storage of one element; TF32 fills an fp32 word, BF16 its
+# upper half. FP16 and BF16 words are plain bits, read by _from_storage.
 STORAGE_DTYPE = {
     ElemType.FP32: np.dtype("<f4"),
     ElemType.TF32: np.dtype("<f4"),
-    ElemType.FP16: np.dtype("<f2"),
+    ElemType.FP16: np.dtype("<u2"),
     ElemType.BF16: np.dtype("<u2"),
     ElemType.INT8: np.dtype("<i1"),
 }
@@ -164,7 +173,7 @@ def _to_storage(values: np.ndarray, elem: ElemType) -> np.ndarray:
     if elem is ElemType.TF32:
         return (bits & np.uint32(0xFFFFE000)).view(STORAGE_DTYPE[elem])
     if elem is ElemType.FP16:
-        words = np.empty(values.shape, dtype=np.uint16)
+        words = np.empty(values.shape, dtype=STORAGE_DTYPE[elem])
         np.right_shift(bits, 16, out=words, casting="unsafe")
         words &= 0x8000
         scaled = np.abs(values, out=np.empty(values.shape, dtype=np.float32))
@@ -177,7 +186,7 @@ def _to_storage(values: np.ndarray, elem: ElemType) -> np.ndarray:
             nan = np.isnan(values[special])
             low[special] = np.where(nan, _fp16_nan(bits[special]) >> 13 & 0x7FFF, 0x7C00)
         words |= low
-        return words.view(STORAGE_DTYPE[elem])
+        return words
     return values.astype(STORAGE_DTYPE[elem], copy=False)
 
 
@@ -317,8 +326,12 @@ class DenseMatrix:
     def from_values(cls, values, fmt: NumericFormat) -> "DenseMatrix":
         """Build a matrix, rounding arbitrary real values into the element
         format. Values of another dtype kind (strings, objects, complex)
-        raise :class:`FormatError`; the check reads only the dtype."""
-        values = np.ascontiguousarray(values)
+        raise :class:`FormatError`; the check reads only the dtype. Nested
+        lists of unequal lengths raise :class:`ShapeError`."""
+        try:
+            values = np.ascontiguousarray(values)
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise ShapeError(f"values do not form an array: {exc}") from exc
         if values.dtype.kind not in "biuf":
             raise FormatError(f"values for {fmt} must be real numbers, got dtype {values.dtype}")
         return cls(round_array(values, fmt.elem), fmt)
@@ -417,16 +430,15 @@ def gemm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
     The mode is the operands' shared format (else :class:`FormatError`). The
     every-column-kept case of the accumulate core that :func:`spmm
-    <sparse24.kernels.spmm>` also runs: step k adds column k of A times row k
-    of B, so summation is ascending over k. The result carries
-    accumulator-format values in ``data`` (int32 for the INT8/INT32 mode,
-    float32 otherwise).
+    <sparse24.kernels.spmm>` also runs: value k of every row of A is its
+    column k, so step k adds column k of A times row k of B, and summation
+    is ascending over k. The result carries accumulator-format values in
+    ``data`` (int32 for the INT8/INT32 mode, float32 otherwise).
     """
     if a.cols != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols} vs {b.rows}")
-    # step k reads row k of B for every output row; views, so A is not copied
-    rows_t = np.broadcast_to(np.arange(a.cols)[:, None], (a.cols, a.rows))
-    return _accumulate(a.data.T, rows_t, a.fmt, b)
+    # a broadcast view, so no index array of A's size is built
+    return _accumulate(a.data, np.broadcast_to(np.arange(a.cols), a.data.shape), a.fmt, b)
 
 
 # Gather budget of one chunk of steps in _accumulate. A sweep of 64 KiB to
@@ -447,22 +459,26 @@ class MultiplyAddCounter:
 
 
 def _accumulate(
-    vals_t: np.ndarray,
-    rows_t: np.ndarray,
+    vals: np.ndarray,
+    cols: np.ndarray,
     fmt: NumericFormat,
     b: DenseMatrix,
     counter: MultiplyAddCounter | None = None,
 ) -> DenseMatrix:
-    """The accumulate loop of both GEMMs: out[r] = sum_j vals_t[j, r] * B[rows_t[j, r]].
+    """The accumulate loop of both GEMMs: out[r] = sum_j vals[r, j] * B[cols[r, j]].
 
-    The mode is ``fmt``, A's format; B must share it. Step j gathers, for
-    every output row r, row ``rows_t[j, r]`` of B, multiplies it by
-    ``vals_t[j, r]`` and adds the product into the M x N accumulator, so each
-    output element sums its products in ascending j. The accumulator has B's
-    dtype. FP16-accumulate mode rounds every product and every sum to fp16
-    by :func:`_round_fp16`, as the module docstring states; INT8/INT32 mode
-    multiplies and adds in int32, wrapping modulo 2**32 like an exact sum
-    wrapped once.
+    ``vals`` and ``cols`` are (M, J), row-major as the operands store them:
+    row r's values and the row of B each one selects. The mode is ``fmt``,
+    A's format; B must share it. Step j gathers, for every output row r,
+    row ``cols[r, j]`` of B, multiplies it by ``vals[r, j]`` and adds the
+    product into the M x N accumulator, so each output element sums its
+    products in ascending j. The accumulator has B's dtype. FP16-accumulate
+    mode rounds every product and every sum to fp16 by :func:`_round_fp16`,
+    as the module docstring states; INT8/INT32 mode multiplies and adds in
+    int32, wrapping modulo 2**32 like an exact sum wrapped once.
+    FP32-accumulate mode leaves a NaN + NaN step to numpy's float32 add,
+    whose NaN follows the lane of its loop (module docstring), so only the
+    payload and sign of such a NaN may differ between hosts.
     A zero value still multiplies its row, so 0 * inf in B gives NaN.
     Overflow and NaN results come back without a numpy warning.
 
@@ -474,23 +490,23 @@ def _accumulate(
     step adds the product row and the accumulator in place on the product
     row, product first, where the product is not NaN, then rounds the sum
     into the accumulator. c is the most steps whose gathered rows fit in
-    ``_CHUNK_BYTES``, and at least 1. Every index in ``rows_t`` must lie in
+    ``_CHUNK_BYTES``, and at least 1. Every index in ``cols`` must lie in
     [0, B.rows): the gather clips rather than checks, which spares numpy a
     buffered copy. A ``counter`` is given c * M * N for each chunk of c steps
     the loop runs.
     """
     if b.fmt != fmt:
         raise FormatError(f"operand formats {fmt} and {b.fmt} differ")
-    steps, (rows, cols) = len(vals_t), (rows_t.shape[1], b.cols)
-    out = np.zeros((rows, cols), dtype=b.data.dtype)
-    chunk = max(1, min(steps, _CHUNK_BYTES // max(1, rows * cols * b.data.itemsize)))
-    buf = np.empty((chunk, rows, cols), dtype=b.data.dtype)
+    vals_t, rows_t = vals.T, cols.T  # views: step j reads row j of each
+    steps, out = len(vals_t), np.zeros((len(vals), b.cols), dtype=b.data.dtype)
+    chunk = max(1, min(steps, _CHUNK_BYTES // max(1, out.nbytes)))
+    buf = np.empty((chunk, *out.shape), dtype=b.data.dtype)
     prod = np.empty_like(buf) if fmt.acc is AccType.FP16 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(0, steps, chunk):
             c = min(chunk, steps - j)
             if counter is not None:
-                counter.add(c * rows * cols)
+                counter.add(c * out.size)
             gathered = buf[:c]
             np.take(b.data, rows_t[j : j + c], axis=0, out=gathered, mode="clip")
             np.multiply(vals_t[j : j + c, :, None], gathered, out=gathered)

@@ -1,7 +1,8 @@
 """Sparse x dense GEMM over the compressed operand, plus a CPU bench harness.
 
-The kernel gathers rows of B through the positional metadata (one gathered row
-per kept value) and never materializes the decompressed operand. An optional
+The kernel gathers rows of B through the positional metadata, as
+:meth:`SparseNM.column_indices` maps it to original columns (one gathered row
+per kept value), and never materializes the decompressed operand. An optional
 :class:`MultiplyAddCounter` sums the multiply-adds the loop runs, cols_kept *
 M * N per call (M*N*K*n/m for a conforming operand). The kernel gathers and
 scales the rows of a chunk of kept slots per numpy call, then adds the chunk's
@@ -26,6 +27,7 @@ from .formats import (
     PATTERN_24,
     AccType,
     DenseMatrix,
+    ElemType,
     GemmShape,
     MultiplyAddCounter,
     NMPattern,
@@ -33,6 +35,7 @@ from .formats import (
     ShapeError,
     _accumulate,
     gemm_dense,
+    round_array,
 )
 from .pruning import prune_magnitude
 
@@ -59,20 +62,22 @@ def spmm(a: SparseNM, b: DenseMatrix, *, counter: MultiplyAddCounter | None = No
     sum (Figueroa, ACM SIGNUM Newsletter 30(3), 1995: 24 >= 2*11 + 2). The
     gathers and multiplies run a chunk of slots per numpy call, but the adds
     stay one slot at a time, so each output element sums its products in
-    ascending original-column order. For finite operands the result is
-    bit-exact against :func:`gemm_dense` on the decompressed operand in
-    every mode, M = 0 and N = 0 included; a pruned zero facing ±inf in B
-    adds nothing here, where the dense reference adds NaN.
+    ascending original-column order. The rows of B come from
+    :meth:`SparseNM.column_indices`, the map :func:`decompress` scatters
+    through. For finite operands the result is bit-exact against
+    :func:`gemm_dense` on the decompressed operand in every mode, M = 0 and
+    N = 0 included; a pruned zero facing ±inf in B adds nothing here, where
+    the dense reference adds NaN. In FP32-accumulate
+    mode, a step that adds a NaN product to a NaN sum leaves the payload and
+    sign of the result to numpy's float32 add, so they may differ between
+    hosts (see ``formats``).
     """
     if a.cols_orig != b.rows:
         raise ShapeError(f"inner dims differ: {a.cols_orig} vs {b.rows}")
     a.fmt.check_sparse(a.cols_orig)
     # every row of B the metadata selects then lies in [0, K), as _accumulate requires
     a.validate()
-
-    # row j of each: kept slot j's row of B and its value, per output row
-    rows_t = np.add(a.group_starts()[:, None], a.meta.T, dtype=np.intp)
-    return _accumulate(a.values.T, rows_t, a.fmt, b, counter)
+    return _accumulate(a.values, a.column_indices(), a.fmt, b, counter)
 
 
 def float_tolerance(oracle: DenseMatrix, k: int) -> float:
@@ -81,7 +86,8 @@ def float_tolerance(oracle: DenseMatrix, k: int) -> float:
     of the accumulator format at the result's peak magnitude."""
     peak = float(np.max(np.abs(oracle.data))) if oracle.data.size else 0.0
     if oracle.fmt.acc is AccType.FP16:
-        ulp = float(np.spacing(np.float16(max(peak, 1e-3))))
+        # at a normal fp16 value, the fp16 ulp is float32's times 2**13
+        ulp = float(np.spacing(round_array(np.float32([max(peak, 1e-3)]), ElemType.FP16)[0])) * 2**13
     else:
         ulp = float(np.spacing(np.float32(max(peak, 1e-30))))
     return 2.0 * k * ulp

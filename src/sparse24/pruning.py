@@ -46,7 +46,10 @@ class Permutation:
     perm: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.perm)  # a copy, frozen below: the caller's array stays writable
+        try:
+            p = np.array(self.perm)  # a copy, frozen below: the caller's array stays writable
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise PermutationError(f"need a 1-D integer array: {exc}") from exc
         if p.ndim != 1 or p.dtype.kind not in "iu":
             raise PermutationError(f"need a 1-D integer array, got {p.ndim}-D {p.dtype}")
         if sorted(p.tolist()) != list(range(len(p))):
@@ -148,7 +151,11 @@ def propagate_permutation(producer_w: DenseMatrix, perm: Permutation) -> DenseMa
 
 def enumerate_group_partitions(cols: int, m: int):
     """Yield one canonical column order per distinct partition of [0, cols)
-    into unordered groups of size m. Count = C! / ((m!)^(C/m) * (C/m)!)."""
+    into unordered groups of size m. Count = C! / ((m!)^(C/m) * (C/m)!).
+    A negative ``cols`` raises :class:`ShapeError`, as does an m that does
+    not divide it."""
+    if cols < 0:
+        raise ShapeError(f"need cols >= 0, got {cols}")
     if cols % m != 0:
         raise ShapeError(f"group size {m} does not divide {cols}")
 

@@ -159,8 +159,12 @@ class TinyNet:
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         """Share of samples whose argmax is their label; :class:`ShapeError`
-        on no samples, where the share is undefined."""
-        hits = self.predict(x) == y
+        unless ``y`` is 1-D with one label per sample, as in :func:`train`,
+        and on no samples, where the share is undefined."""
+        predicted, y = self.predict(x), np.asarray(y)
+        if y.shape != predicted.shape:
+            raise ShapeError(f"y has shape {y.shape}, need one label per sample, {predicted.shape}")
+        hits = predicted == y
         if not hits.size:
             raise ShapeError("accuracy needs at least one sample, got none")
         return float(np.mean(hits))
@@ -307,10 +311,13 @@ def make_blobs(
 ) -> Dataset:
     """Seeded Gaussian-blob classification task, self-contained and fast.
     ``samples`` is an integer >= 0, ``features`` and ``classes`` integers
-    >= 1; anything else raises :class:`ShapeError`."""
+    >= 1, and ``spread`` a finite real number; anything else raises
+    :class:`ShapeError`."""
     for key, value, least in (("samples", samples, 0), ("features", features, 1), ("classes", classes, 1)):
         if not isinstance(value, numbers.Integral) or value < least:
             raise ShapeError(f"need an integer {key} >= {least}, got {value!r}")
+    if not (isinstance(spread, numbers.Real) and math.isfinite(spread)):
+        raise ShapeError(f"need a finite real spread, got {spread!r}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, features)) * 3.0
     y = rng.integers(0, classes, size=samples)
@@ -479,7 +486,10 @@ def _convert(name: str, key: str, text: str, parse):
 
 
 def parse_recipe(text: str) -> Recipe:
-    """Parse and validate a recipe; any malformed recipe raises :class:`RecipeError`."""
+    """Parse and validate a recipe; any malformed recipe raises :class:`RecipeError`,
+    and so does text that is not a ``str`` (bytes, say)."""
+    if not isinstance(text, str):
+        raise RecipeError(f"a recipe is text, got {type(text).__name__}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_file(io.StringIO(text))

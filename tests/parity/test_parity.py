@@ -20,6 +20,13 @@ rest on BLAS products too, so they hold for one BLAS build and CPU kernel:
 on another, regenerate them and check that only ``train/*`` and
 ``run_recipe`` move.
 
+The FP32-accumulate GEMM digests (``gemm_dense/<elem>/fp32`` and
+``spmm/<elem>/fp32``) also rest on the vector width of numpy's float32 add:
+their ±inf and NaN operands give steps that add two NaNs, and that add
+returns the first or the second by the lane of its loop, so such a
+result's payload and sign may differ on another host (see ``formats``).
+There, check that only those digests move, and only in NaN words.
+
 ``manifest.json`` holds the expected digests. A change that alters outputs
 by design regenerates it with ``PYTHONPATH=src python tests/parity/test_parity.py``,
 which prints each digest it adds, removes or changes, and names each

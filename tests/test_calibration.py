@@ -410,6 +410,17 @@ class TestEntropyRejectsMalformed:
         with pytest.raises(s.NonFiniteError):
             entropy_threshold(hist)
 
+    @pytest.mark.parametrize(
+        "hist",
+        [np.array(["a"] * 200), [[1.0] * 200, [1.0] * 100], [{}] * 200],
+        ids=["strings", "ragged", "dicts"],
+    )
+    def test_counts_that_are_not_real_numbers(self, hist):
+        # unchecked, numpy's float64 conversion raised a bare ValueError or TypeError
+        with pytest.raises(s.HistogramError, match="real numbers") as exc:
+            entropy_threshold(hist)
+        assert exc.value.code == "histogram"
+
     @pytest.mark.parametrize("shape", [(2, 2, HIST_BINS), ()], ids=["3d", "0d"])
     def test_wrong_dimensions(self, shape):
         with pytest.raises(s.ShapeError):
@@ -519,6 +530,13 @@ class TestScaleSet:
     def test_rejects_non_positive_or_non_finite(self, bad):
         with pytest.raises(s.ScaleError):
             s.ScaleSet(s.Granularity.PER_ROW, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("scales", [["a"], [[0.5], [0.5, 2.0]], [{}]], ids=["string", "ragged", "dict"])
+    def test_scales_that_are_not_real_numbers(self, scales):
+        # unchecked, numpy's float64 conversion raised a bare ValueError or TypeError
+        with pytest.raises(s.ScaleError, match="real numbers") as exc:
+            s.ScaleSet(s.Granularity.PER_TENSOR, scales)
+        assert exc.value.code == "scale"
 
     @pytest.mark.parametrize("scales", [[0.5, 2.0], []], ids=["two", "none"])
     def test_per_tensor_holds_exactly_one_scale(self, scales):

@@ -105,6 +105,12 @@ class TestRounding:
             s.DenseMatrix.from_values(values, fmt)
         assert exc.value.code == "format"
 
+    def test_from_values_rejects_a_ragged_list(self):
+        # numpy raises a bare ValueError ("inhomogeneous shape") building the array
+        with pytest.raises(s.ShapeError, match="do not form an array") as exc:
+            s.DenseMatrix.from_values([[1.0], [1.0, 2.0]], s.FP32)
+        assert exc.value.code == "shape"
+
 
 SPECIAL_WORDS = [0, 0x80000000, 1, 0x807FFFFF, 0x00800000, 0x7F7FFFFF, 0x7F800000, 0xFF800000]
 NAN_WORDS = [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7F802000]

@@ -385,6 +385,26 @@ class TestFloatTolerance:
         oracle = s.DenseMatrix(np.array([[peak / 2, -peak]], dtype=np.float32), fmt)
         assert s.float_tolerance(oracle, 8) == 16 * ulp
 
+    @pytest.mark.parametrize(
+        "peak",
+        [
+            *(2.0**k - 2.0 ** (k - 11) for k in (-9, 1, 11, 15, 16)),  # the largest half below 2**k
+            *(2.0**k - 2.0 ** (k - 13) for k in (-9, 1, 11, 15)),  # rounds up to 2**k, into the next binade
+            65519.0,  # rounds down to 65 504
+            1e-3,
+            2.0**-12,
+            2.0**-20,  # an fp16 subnormal
+        ],
+    )
+    def test_fp16_accumulate_peaks_at_binade_edges(self, peak):
+        # the oracle is numpy's half type; an FP16-accumulate peak below 1e-3
+        # counts as 1e-3. Past 65 504 the next half is inf, so numpy's spacing
+        # there overflows; the ulp of the top binade is the step below it, 32
+        half = np.float16(max(np.float32(peak), 1e-3))
+        ulp = half - np.nextafter(half, np.float16(0)) if half == 65504 else np.spacing(half)
+        oracle = s.DenseMatrix(np.array([[peak / 2, -peak]], dtype=np.float32), s.FP16_FP16)
+        assert s.float_tolerance(oracle, 8) == 16 * float(ulp)
+
 
 class TestFlops:
     def test_closed_form_64(self):

@@ -201,6 +201,13 @@ class TestPermutationSearch:
         assert count == math.factorial(8) // (math.factorial(4) ** 2 * math.factorial(2))
         assert count == 35
 
+    def test_partitions_of_negative_columns_rejected(self):
+        # unchecked, -4 % 2 == 0 and range(-4) is empty, so one empty partition came out
+        with pytest.raises(s.ShapeError, match="cols >= 0") as exc:
+            next(s.enumerate_group_partitions(-4, 2))
+        assert exc.value.code == "shape"
+        assert list(s.enumerate_group_partitions(0, 2)) == [()]
+
     def test_partitions_need_m_to_divide_the_columns(self):
         partitions = s.enumerate_group_partitions(10, 4)  # a generator: the check runs on first use
         with pytest.raises(s.ShapeError):
@@ -478,6 +485,12 @@ class TestPropagatePermutation:
             s.permute_columns(w, s.Permutation.identity(4))
         with pytest.raises(s.ShapeError):
             s.propagate_permutation(w, s.Permutation.identity(8))
+
+    def test_ragged_list_rejected(self):
+        # unchecked, numpy raised a bare ValueError ("inhomogeneous shape")
+        with pytest.raises(s.PermutationError) as exc:
+            s.Permutation([[1], [0, 2]])
+        assert exc.value.code == "permutation"
 
     def test_not_a_bijection_rejected(self):
         with pytest.raises(s.PermutationError):

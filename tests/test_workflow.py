@@ -138,6 +138,20 @@ class TestMakeBlobs:
             s.make_blobs(**kw)
         assert exc.value.code == "shape"
 
+    @pytest.mark.parametrize(
+        "spread", ["x", math.nan, math.inf, -math.inf, None, 1 + 2j], ids=["str", "nan", "inf", "neg_inf", "none", "complex"]
+    )
+    def test_spread_that_is_not_a_finite_real_rejected(self, spread):
+        # unchecked, "x" raised numpy's UFuncTypeError and nan gave NaN features
+        with pytest.raises(s.ShapeError, match="finite real spread") as exc:
+            s.make_blobs(samples=4, spread=spread)
+        assert exc.value.code == "shape"
+
+    def test_spread_of_numpy_and_integer_reals(self):
+        want = s.make_blobs(samples=4, spread=2.0).x
+        for spread in (np.float32(2.0), np.int64(2), 2):
+            assert np.array_equal(s.make_blobs(samples=4, spread=spread).x, want)
+
     def test_no_samples_and_numpy_integers(self):
         assert s.make_blobs(samples=0).x.shape == (0, 64)
         data = s.make_blobs(samples=np.int64(5), features=np.int32(3), classes=np.uint8(2))
@@ -183,6 +197,26 @@ class TestDatasetFit:
         assert exc.value.code == "shape"
         with pytest.raises(s.ShapeError, match="at least one sample"):
             s.run_recipe(s.parse_recipe(RECIPE_BASIC), net, data)
+
+    @pytest.mark.parametrize("labels", [3, 5, 0], ids=["short", "long", "none"])
+    def test_accuracy_with_a_label_count_unlike_the_samples_rejected(self, labels):
+        # unchecked, the comparison raised numpy's bare broadcast ValueError
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        with pytest.raises(s.ShapeError, match="one label per sample") as exc:
+            net.accuracy(np.zeros((4, 8)), np.zeros(labels, dtype=np.int64))
+        assert exc.value.code == "shape"
+
+    def test_accuracy_of_a_column_of_labels_rejected(self):
+        # unchecked, (3,) predictions against (3, 1) labels broadcast to a 3 x 3
+        # table, whose mean is not the share of correct samples
+        net = s.TinyNet.init([8, 8, 4], seed=1)
+        x = np.random.default_rng(0).standard_normal((3, 8))
+        y = net.predict(x)
+        assert net.accuracy(x, y) == 1.0
+        assert len(set(y.tolist())) > 1  # the table's off-diagonal entries are not all hits
+        with pytest.raises(s.ShapeError, match="one label per sample") as exc:
+            net.accuracy(x, y[:, None])
+        assert exc.value.code == "shape"
 
     @pytest.mark.parametrize("shape", [(5, 7), (5, 9), (8,), (5, 8, 1)], ids=["narrow", "wide", "1d", "3d"])
     def test_batch_of_the_wrong_width_rejected(self, shape):
@@ -615,6 +649,13 @@ class TestRecipes:
     def test_malformed_recipe_raises_recipe_error(self, text):
         with pytest.raises(s.RecipeError):
             s.parse_recipe(text)
+
+    @pytest.mark.parametrize("text", [b"[phase.a]\nkind = prune\n", None, 7], ids=["bytes", "none", "int"])
+    def test_recipe_that_is_not_text_rejected(self, text):
+        # unchecked, io.StringIO raised a bare TypeError
+        with pytest.raises(s.RecipeError, match="a recipe is text") as exc:
+            s.parse_recipe(text)
+        assert exc.value.code == "recipe"
 
     @pytest.mark.parametrize(
         "section, key, line",
